@@ -77,6 +77,21 @@ def _ring(args) -> Ring:
     return Ring(RingSpec.parse(args.ring))
 
 
+def _verdict_payload(verdict) -> dict:
+    return {"passed": verdict.passed, "a": verdict.a_int, "b": verdict.b_int,
+            "c": verdict.c_int, "failed_axiom": verdict.failed_axiom}
+
+
+def _verified_sic(m, args) -> SicSystem:
+    """The line system of ``m``, verified before any search runs on it."""
+    s = construct_sic(m, _ring(args))
+    verdict = verify_sic(s)
+    if not verdict.passed:
+        raise VerificationFailure("constructed system fails verification",
+                                  {**_verdict_payload(verdict), "witness": verdict.witness})
+    return s
+
+
 def _group_payload(g: PermGroup) -> dict:
     return {
         "order": str(g.order()),
@@ -122,13 +137,7 @@ def _cmd_sic_build(args) -> int:
     s = construct_sic(m, ring)
     verdict = verify_sic(s)
     payload = s.to_json_dict()
-    payload["verdict"] = {
-        "passed": verdict.passed,
-        "a": verdict.a_int,
-        "b": verdict.b_int,
-        "c": verdict.c_int,
-        "failed_axiom": verdict.failed_axiom,
-    }
+    payload["verdict"] = _verdict_payload(verdict)
     if not verdict.passed:
         raise VerificationFailure("constructed system fails verification", payload)
     _emit(args, payload)
@@ -139,14 +148,7 @@ def _cmd_sic_verify(args) -> int:
     with open(args.path) as fh:
         s = SicSystem.from_json_dict(json.load(fh))
     verdict = verify_sic(s)
-    payload = {
-        "passed": verdict.passed,
-        "a": verdict.a_int,
-        "b": verdict.b_int,
-        "c": verdict.c_int,
-        "failed_axiom": verdict.failed_axiom,
-        "witness": verdict.witness,
-    }
+    payload = {**_verdict_payload(verdict), "witness": verdict.witness}
     if not verdict.passed:
         raise VerificationFailure("system fails verification", payload)
     _emit(args, payload, f"pass: ({verdict.a_int},{verdict.b_int},{verdict.c_int})")
@@ -181,8 +183,7 @@ def _cmd_aut_hadamard(args) -> int:
 
 
 def _cmd_aut_sic(args) -> int:
-    m = from_recipe(args.had, cap=args.cap)
-    s = construct_sic(m, _ring(args))
+    s = _verified_sic(from_recipe(args.had, cap=args.cap), args)
     parts = sic_aut_parts(s, budget=args.budget)
     g = sic_aut(s, args.strength, parts=parts)
     payload = {
@@ -204,7 +205,8 @@ def _cmd_aut_tilde(args) -> int:
 
 def _cmd_sandwich(args) -> int:
     m = from_recipe(args.had, cap=args.cap)
-    rep = sandwich_report(m, _ring(args), budget=args.budget)
+    s = _verified_sic(m, args)
+    rep = sandwich_report(m, s.ring, budget=args.budget)
     payload = rep.to_json_dict()
     plain = " <= ".join(str(rep.orders[k]) for k in
                         ("iota_weak_H", "strong_sic", "weak_sic", "strong_tilde"))
@@ -345,7 +347,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except VerificationFailure as e:
         if e.payload is not None:
-            print(json.dumps(e.payload, sort_keys=True, indent=2))
+            _emit(args, e.payload)
         print(f"verification failed: {e}", file=sys.stderr)
         return EXIT_VERIFY
     except BudgetExceeded as e:

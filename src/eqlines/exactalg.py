@@ -10,15 +10,16 @@ a + bi -> a - bi.  Three instances are supported:
   * ``gaussian_fraction``: the Gaussian rationals Q(i), components are
     ``fractions.Fraction``.
 
-The matrix layer provides conjugate transposes, products, the sesquilinear
-Gram matrix (x, y) = x* y, and exact rank.  Over the Gaussian integers rank
-is taken over the fraction field.
+The matrix layer provides products, and the sesquilinear Gram matrix
+(x, y) = x* y and exact rank, both on (re, im) component arrays.  Over the
+Gaussian integers rank is taken over the fraction field.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import sympy
@@ -195,9 +196,6 @@ class Ring:
     def el(self, re, im=0) -> RingElement:
         return RingElement(self._base(re), self._base(im), self)
 
-    def is_field(self) -> bool:
-        return self.spec.kind in (FINITE, GAUSSIAN_FRACTION)
-
     def i_power(self, t: int) -> RingElement:
         return (self.one, self.i, -self.one, -self.i)[t % 4]
 
@@ -213,10 +211,6 @@ class Ring:
 
 def ring_make(spec: RingSpec | str) -> Ring:
     return Ring(spec)
-
-
-def _fraction_ring() -> Ring:
-    return Ring(RingSpec(GAUSSIAN_FRACTION))
 
 
 class ExactMatrix:
@@ -273,12 +267,6 @@ class ExactMatrix:
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
 
-    def conj_transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.entries[i][j].conj() for i in range(self.rows)] for j in range(self.cols)],
-            self.ring,
-        )
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ring.spec != other.ring.spec or self.cols != other.rows:
             raise RingError("matrix product shape/ring mismatch")
@@ -294,75 +282,117 @@ class ExactMatrix:
             out.append(row)
         return ExactMatrix(out, self.ring)
 
-    def component_arrays(self):
-        """(re, im) integer component arrays; Fractions are rejected."""
-        if self.ring.spec.kind == GAUSSIAN_FRACTION:
-            raise RingError("no integer component arrays for the fraction ring")
-        re = np.array([[int(x.re) for x in row] for row in self.entries], dtype=object)
-        im = np.array([[int(x.im) for x in row] for row in self.entries], dtype=object)
-        return re, im
+
+def exact_dtype(bound: int):
+    """np.int64 when no value a computation forms exceeds ``bound`` in
+    absolute value, so int64 arithmetic is exact; beyond it object dtype,
+    whose Python integers are exact at any size."""
+    return np.int64 if bound < 2**63 else object
+
+
+@dataclass(frozen=True)
+class Components:
+    """(re, im) component arrays of a matrix over one ring: the one form in
+    which Gram matrices and ranks are computed, for every ring.  They are
+    residues in [0, p) over GF(p^2), integers in characteristic 0, or
+    Fractions when some Q(i) entry is not integral; integers are int64 where
+    exact_dtype admits the bound in ``of``, else Python integers."""
+
+    re: np.ndarray
+    im: np.ndarray
+    ring: Ring
+
+    @classmethod
+    def of(cls, rows: Sequence[Sequence[RingElement]], ring: Ring) -> "Components":
+        re = [[x.re for x in row] for row in rows]
+        im = [[x.im for x in row] for row in rows]
+        # A Gram entry sums k products of components of size <= top.  Over
+        # GF(p^2) (top = p - 1) a reduced entry's norm and an elimination
+        # update stay below 4 top^2; in char 0 a norm is <= 2 (k top^2)^2.
+        k = 2 * max(len(re), len(re[0]))
+        if ring.char:
+            dtype = exact_dtype(max(k, 4) * (ring.char - 1) ** 2)
+        else:
+            flat = [v for part in (re, im) for row in part for v in row]
+            dtype = object
+            if all(v.denominator == 1 for v in flat):
+                re, im = ([[int(v) for v in row] for row in part] for part in (re, im))
+                dtype = exact_dtype(2 * (k * int(max(map(abs, flat))) ** 2) ** 2)
+        return cls(np.array(re, dtype=dtype), np.array(im, dtype=dtype), ring)
+
+    @property
+    def T(self) -> "Components":
+        return Components(self.re.T, self.im.T, self.ring)
+
+    def gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """(re, im) of G[a, b] = (row_a, row_b) = sum_t conj(row_a[t]) row_b[t],
+        reduced mod p over GF(p^2)."""
+        re, im = self.re, self.im
+        gre = re @ re.T
+        gre += im @ im.T
+        gim = re @ im.T
+        gim -= im @ re.T
+        if self.ring.char:
+            gre %= self.ring.char
+            gim %= self.ring.char
+        return gre, gim
 
 
 def mat_gram(V: ExactMatrix) -> ExactMatrix:
     """Gram matrix G[a][b] = (col_a, col_b) = (col_a)* col_b."""
     ring = V.ring
-    if ring.spec.kind == FINITE:
-        p = ring.spec.p
-        # int64 is safe when the accumulated products cannot overflow
-        bound = 2 * V.rows * (p - 1) ** 2
-        dtype = np.int64 if bound < 2**62 else object
-        re = np.array([[x.re for x in row] for row in V.entries], dtype=dtype)
-        im = np.array([[x.im for x in row] for row in V.entries], dtype=dtype)
-        gre = (re.T @ re + im.T @ im) % p
-        gim = (re.T @ im - im.T @ re) % p
-        return ExactMatrix(
-            [
-                [RingElement(int(gre[a, b]), int(gim[a, b]), ring) for b in range(V.cols)]
-                for a in range(V.cols)
-            ],
-            ring,
-        )
-    return V.conj_transpose() @ V
+    gre, gim = Components.of(V.entries, ring).T.gram()
+    rows = zip(gre.tolist(), gim.tolist())
+    return ExactMatrix([[ring.el(a, b) for a, b in zip(ra, ia)] for ra, ia in rows], ring)
 
 
-def _rank_field(rows: list[list[RingElement]], ring: Ring) -> int:
-    """Row echelon rank over a field, in place on a copied grid."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    rank = 0
-    col = 0
-    while rank < m and col < n:
-        piv = None
-        for r in range(rank, m):
-            if not rows[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inv()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(m):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+def mat_rank(V: ExactMatrix | Components) -> int:
+    """Exact rank; over the Gaussian integers, rank over the fraction field.
+
+    Integer-preserving elimination, one array update per pivot: each row
+    below the pivot row becomes pivot * row - f * (pivot row), reduced mod p
+    over GF(p^2).  Over Q(i) this is Bareiss' elimination on Python integers
+    (rows scaled by the lcm of their denominators): the update is divided
+    by the previous pivot, exactly, because every entry is then a minor."""
+    c = V if isinstance(V, Components) else Components.of(V.entries, V.ring)
+    p = c.ring.char
+    m, n = c.re.shape
+    if p:
+        re, im = c.re.copy(), c.im.copy()
+    else:
+        rows = np.hstack([c.re, c.im]).tolist()
+        scales = [math.lcm(*(v.denominator for v in r)) for r in rows]
+        both = np.array([[int(v * s) for v in r] for r, s in zip(rows, scales)], dtype=object)
+        re, im = both[:, :n], both[:, n:]
+    pr, pi = 1, 0  # previous pivot
+    rank = col = 0
+    while rank < m:
+        nz = (re[rank:, col:] != 0) | (im[rank:, col:] != 0)
+        live = np.flatnonzero(nz.any(axis=0))
+        if not len(live):
+            break
+        col += int(live[0])
+        r = rank + int(np.argmax(nz[:, live[0]]))
+        re[[rank, r]] = re[[r, rank]]
+        im[[rank, r]] = im[[r, rank]]
+        a, b = re[rank, col], im[rank, col]
+        xr, xi = re[rank + 1:, col:], im[rank + 1:, col:]
+        fr, fi = re[rank + 1:, col, None], im[rank + 1:, col, None]
+        br, bi = re[rank, col:], im[rank, col:]
+        nr = a * xr - b * xi - fr * br + fi * bi
+        ni = a * xi + b * xr - fr * bi - fi * br
+        if p:
+            nr %= p
+            ni %= p
+        else:
+            nn = pr * pr + pi * pi
+            nr, ni = (nr * pr + ni * pi) // nn, (ni * pr - nr * pi) // nn
+            pr, pi = a, b
+        re[rank + 1:, col:] = nr
+        im[rank + 1:, col:] = ni
         rank += 1
         col += 1
     return rank
-
-
-def mat_rank(V: ExactMatrix) -> int:
-    """Exact rank; over the Gaussian integers, rank over the fraction field."""
-    ring = V.ring
-    if ring.spec.kind == GAUSSIAN:
-        fr = _fraction_ring()
-        rows = [[fr.el(x.re, x.im) for x in row] for row in V.entries]
-        return _rank_field(rows, fr)
-    if not ring.is_field():
-        raise RingError("rank requires a field or the Gaussian integers")
-    rows = [list(row) for row in V.entries]
-    return _rank_field(rows, ring)
 
 
 def _exact_div_gaussian(num: RingElement, den: RingElement) -> RingElement:

@@ -20,15 +20,11 @@ import numpy as np
 import sympy
 
 from .exactalg import (
-    GAUSSIAN,
-    GAUSSIAN_FRACTION,
-    FINITE,
+    Components,
     ExactMatrix,
     Ring,
     RingElement,
-    RingError,
     RingSpec,
-    mat_gram,
     mat_rank,
 )
 from .hadamard import (
@@ -85,13 +81,7 @@ def gram_phase_exponents(s: "SicSystem") -> np.ndarray:
     off-diagonal inner product is not 4 times a power of i."""
     ring = s.ring
     n = s.d * s.d
-    re = np.array([[int(x.re) for x in vec] for vec in s.vectors], dtype=np.int64)
-    im = np.array([[int(x.im) for x in vec] for vec in s.vectors], dtype=np.int64)
-    gre = re @ re.T + im @ im.T
-    gim = re @ im.T - im @ re.T
-    if ring.char:
-        gre %= ring.char
-        gim %= ring.char
+    gre, gim = Components.of(s.vectors, ring).gram()
     t = np.full((n, n), -1, dtype=np.int8)
     for k in range(4):
         val = ring.el(4) * ring.i_power(k)
@@ -197,15 +187,10 @@ class SicVerdict:
     witness: tuple | None = None
 
 
-def _inner(ring: Ring, x, y) -> RingElement:
-    acc = ring.zero
-    for a, b in zip(x, y):
-        acc = acc + a.conj() * b
-    return acc
-
-
 def verify_sic(system, ring: Ring | None = None, d: int | None = None) -> SicVerdict:
-    """Check the four defining axioms on a SicSystem or a raw vector tuple."""
+    """Check the four defining axioms on a SicSystem or a raw vector tuple,
+    exactly for every ring: one Gram matrix and one rank on the vectors'
+    exactalg.Components, int64 only where a bound proves it exact."""
     if isinstance(system, SicSystem):
         vectors, ring, d = system.vectors, system.ring, system.d
     else:
@@ -214,57 +199,36 @@ def verify_sic(system, ring: Ring | None = None, d: int | None = None) -> SicVer
             ring = vectors[0][0].ring
         if d is None:
             d = len(vectors[0])
-    n = len(vectors)
     a_el, b_el, c_el = ring.el(A_INT), ring.el(B_INT), ring.el(C_INT)
     if (a_el * a_el) == b_el:
         raise SicError("degenerate constants: a^2 = b in this ring")
-    mat = ExactMatrix([[vectors[u][t] for u in range(n)] for t in range(d)], ring)
-    if ring.spec.kind == FINITE:
-        p = ring.spec.p
-        re = np.array([[x.re for x in row] for row in mat.entries], dtype=np.int64)
-        im = np.array([[x.im for x in row] for row in mat.entries], dtype=np.int64)
-        gre = (re.T @ re + im.T @ im) % p
-        gim = (re.T @ im - im.T @ re) % p
-        bad = np.flatnonzero((np.diag(gre) != A_INT % p) | (np.diag(gim) != 0))
-        if len(bad):
-            return SicVerdict(False, a_el, b_el, c_el, failed_axiom="a", witness=(int(bad[0]),))
-        xre = (gre * gre.T - gim * gim.T) % p
-        xim = (gre * gim.T + gim * gre.T) % p
-        off = ~np.eye(n, dtype=bool)
-        bad2 = np.argwhere(off & ((xre != B_INT % p) | (xim != 0)))
-        if len(bad2):
-            u, v = (int(w) for w in bad2[0])
-            return SicVerdict(False, a_el, b_el, c_el, failed_axiom="b", witness=(u, v))
-        sre = (re @ re.T + im @ im.T) % p
-        sim = (im @ re.T - re @ im.T) % p
-        want = (C_INT % p) * np.eye(d, dtype=np.int64)
-        bad3 = np.argwhere(((sre - want) % p != 0) | (sim % p != 0))
-        if len(bad3):
-            s, t = (int(w) for w in bad3[0])
-            return SicVerdict(False, a_el, b_el, c_el, failed_axiom="c", witness=(s, t))
-    else:
-        gram = [[_inner(ring, vectors[u], vectors[v]) for v in range(n)] for u in range(n)]
-        for u in range(n):
-            if gram[u][u] != a_el:
-                return SicVerdict(False, a_el, b_el, c_el, failed_axiom="a", witness=(u,))
-        for u in range(n):
-            for v in range(n):
-                if u != v and gram[u][v] * gram[v][u] != b_el:
-                    return SicVerdict(
-                        False, a_el, b_el, c_el, failed_axiom="b", witness=(u, v)
-                    )
-        for s in range(d):
-            for t in range(d):
-                acc = ring.zero
-                for u in range(n):
-                    acc = acc + vectors[u][s] * vectors[u][t].conj()
-                want = c_el if s == t else ring.zero
-                if acc != want:
-                    return SicVerdict(
-                        False, a_el, b_el, c_el, failed_axiom="c", witness=(s, t)
-                    )
-    if mat_rank(mat) != d:
-        return SicVerdict(False, a_el, b_el, c_el, failed_axiom="d", witness=())
+    a, b, c = (int(el.re) for el in (a_el, b_el, c_el))
+
+    def fail(axiom, witness):
+        return SicVerdict(False, a_el, b_el, c_el, failed_axiom=axiom, witness=witness)
+
+    x = Components.of(vectors, ring)  # row u is x_u
+    gre, gim = x.gram()
+    bad = np.flatnonzero((np.diag(gre) != a) | (np.diag(gim) != 0))
+    if len(bad):
+        return fail("a", (int(bad[0]),))
+    # (x_v, x_u) = conj (x_u, x_v), so their product is the norm gre^2 + gim^2
+    gre *= gre
+    gim *= gim
+    gre += gim
+    if ring.char:
+        gre %= ring.char
+    np.fill_diagonal(gre, b)
+    bad = np.argwhere(gre != b)
+    if len(bad):
+        return fail("b", tuple(int(w) for w in bad[0]))
+    # sum_u x_u x_u* is the conjugate of the Gram matrix of the coordinates
+    fre, fim = x.T.gram()
+    bad = np.argwhere((fre != c * np.eye(d, dtype=np.int64)) | (fim != 0))
+    if len(bad):
+        return fail("c", tuple(int(w) for w in bad[0]))
+    if mat_rank(x) != d:
+        return fail("d", ())
     return SicVerdict(True, a_el, b_el, c_el)
 
 

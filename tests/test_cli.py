@@ -139,3 +139,42 @@ def test_witness_check_rejects(capsys, tmp_path):
     code, _, _ = run(capsys, "witness", "check", "--source", "sylvester:1",
                      "--target", "sylvester:1", "--witness", str(wpath))
     assert code == 1
+
+
+def test_failure_payload_goes_to_out(capsys, tmp_path):
+    sic_path, out_path = tmp_path / "sic.json", tmp_path / "verdict.json"
+    run(capsys, "sic", "build", "--had", "sylvester:1", "--ring", "gf:3",
+        "--out", str(sic_path))
+    blob = json.loads(sic_path.read_text())
+    blob["vectors"][0][0] = [0, 0]
+    sic_path.write_text(json.dumps(blob))
+    code, out, _ = run(capsys, "sic", "verify", str(sic_path), "--json",
+                       "--out", str(out_path))
+    assert code == 1 and out == ""
+    verdict = json.loads(out_path.read_text())
+    assert verdict["passed"] is False and verdict["failed_axiom"] == "a"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sandwich", "--had", "sylvester:1", "--ring", "gf:3", "--json"],
+    ["aut", "sic", "--had", "sylvester:1", "--ring", "gf:3", "--json"],
+])
+def test_group_commands_verify_before_searching(capsys, monkeypatch, argv):
+    import eqlines.cli as cli
+    from eqlines.sic import SicVerdict
+
+    def failing(s):
+        one = s.ring.one
+        return SicVerdict(False, one, one, one, failed_axiom="b", witness=(0, 1))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran on an unverified system")
+
+    monkeypatch.setattr(cli, "verify_sic", failing)
+    monkeypatch.setattr(cli, "sandwich_report", no_search)
+    monkeypatch.setattr(cli, "sic_aut_parts", no_search)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["passed"] is False and blob["failed_axiom"] == "b"
+    assert blob["witness"] == [0, 1]

@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqlines.exactalg import (
+    Components,
     ExactMatrix,
     Ring,
     RingError,
@@ -10,6 +14,8 @@ from eqlines.exactalg import (
     rank_fraction_free,
     ring_make,
 )
+from eqlines.hadamard import from_recipe
+from eqlines.sic import construct_sic
 
 
 def test_spec_parse_roundtrip():
@@ -117,9 +123,110 @@ def test_rank_gaussian_two_methods_agree():
     ]
     m = ExactMatrix(rows, r)
     assert mat_rank(m) == rank_fraction_free(m) == 2
+    # non-real, non-unit pivots, and a last row that is a combination of
+    # three others: each division by the previous pivot must be exact
+    rows = [[r.el(*c) for c in row] for row in [
+        [(1, 2), (3, 0), (-1, 1), (2, 0), (0, 0)],
+        [(2, -1), (1, 1), (4, 0), (0, -3), (1, 0)],
+        [(3, 0), (-2, 2), (1, 0), (1, 0), (2, -1)],
+    ]]
+    c = [r.el(1, 1), r.el(-2), r.el(0, 1)]
+    rows.append([c[0] * x + c[1] * y + c[2] * z for x, y, z in zip(*rows)])
+    m = ExactMatrix(rows, r)
+    assert mat_rank(m) == rank_fraction_free(m) == 3
 
 
 def test_mod3_wraparound():
     r = Ring("gf:3")
     assert r.el(-1, -2) == r.el(2, 1)
     assert r.el(5) == r.el(2)
+
+
+def _span_rank(re, im, p):
+    """log_{p^2} of the size of the row span over GF(p^2), the span counted
+    by enumerating every combination of the rows."""
+    re, im = re.astype(np.int16), im.astype(np.int16)
+    n = re.shape[1]
+    a, b = (g.ravel() for g in np.meshgrid(*[np.arange(p, dtype=np.int16)] * 2, indexing="ij"))
+    sre = sim = np.zeros((1, n), dtype=np.int16)
+    for r in range(re.shape[0]):
+        # every span vector plus every multiple (a + bi) row_r
+        mre = (a[:, None] * re[r] - b[:, None] * im[r]) % p
+        mim = (a[:, None] * im[r] + b[:, None] * re[r]) % p
+        sre = ((sre[:, None] + mre[None]) % p).reshape(-1, n)
+        sim = ((sim[:, None] + mim[None]) % p).reshape(-1, n)
+        codes = (sre + p * sim) @ (p * p) ** np.arange(n, dtype=np.int64)
+        _, keep = np.unique(codes, return_index=True)
+        sre, sim = sre[keep], sim[keep]
+    size, rank = len(sre), 0
+    while (p * p) ** rank < size:
+        rank += 1
+    assert (p * p) ** rank == size
+    return rank
+
+
+@st.composite
+def _matrices(draw, lo, hi, rows=3, cols=4):
+    """(re, im) integer arrays of at most rows x cols, zero-heavy, and with
+    the last row sometimes a Gaussian-integer combination of the others."""
+    m = draw(st.integers(1, rows))
+    n = draw(st.integers(1, cols))
+    entry = st.one_of(st.just(0), st.integers(lo, hi))
+    re = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                min_size=m, max_size=m)), dtype=np.int64)
+    im = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                min_size=m, max_size=m)), dtype=np.int64)
+    if m >= 3 and draw(st.booleans()):
+        cr, ci = (np.array(draw(st.lists(st.integers(-2, 2), min_size=m - 1, max_size=m - 1)))
+                  for _ in range(2))
+        re[-1] = cr @ re[:-1] - ci @ im[:-1]
+        im[-1] = cr @ im[:-1] + ci @ re[:-1]
+    return re, im
+
+
+def _exact(re, im, ring):
+    return ExactMatrix([[ring.el(int(a), int(b)) for a, b in zip(r, i)]
+                        for r, i in zip(re, im)], ring)
+
+
+@pytest.mark.parametrize("p", [3, 7, 11])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_rank_finite_matches_span_count(p, data):
+    re, im = data.draw(_matrices(0, p - 1))
+    assert mat_rank(_exact(re, im, Ring(f"gf:{p}"))) == _span_rank(re % p, im % p, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(-4, 4, rows=4, cols=5), st.integers(1, 6))
+def test_rank_gaussian_matches_fraction_free(mat, den):
+    re, im = mat
+    m = _exact(re, im, Ring("gauss"))
+    assert mat_rank(m) == rank_fraction_free(m)
+    # over Q(i), dividing the first row by den changes no rank
+    q = Ring("gaussq")
+    rows = [list(row) for row in _exact(re, im, q).entries]
+    rows[0] = [x / q.el(den) for x in rows[0]]
+    assert mat_rank(ExactMatrix(rows, q)) == mat_rank(m)
+
+
+@pytest.mark.parametrize("recipe,ring", [
+    ("sylvester:3", "gauss"), ("sylvester:3", "gaussq"), ("sylvester:3", "gf:7"),
+    ("sylvester:5", "gf:3"),
+])
+def test_rank_of_constructions(recipe, ring):
+    s = construct_sic(from_recipe(recipe), Ring(ring))
+    m = s.matrix()
+    assert mat_rank(m) == s.d
+    rows = [list(row) for row in m.entries]
+    rows[3] = rows[1]
+    assert mat_rank(ExactMatrix(rows, m.ring)) == s.d - 1
+
+
+def test_component_dtype_in_characteristic_zero():
+    r = Ring("gauss")
+    assert Components.of([[r.el(3, -2)]], r).re.dtype == np.int64
+    big = Components.of([[r.el(2**40, 1)]], r)  # norm bound 2 (2 * 2^80)^2
+    assert big.re.dtype == object and big.re[0, 0] == 2**40
+    q = Ring("gaussq")
+    assert Components.of([[q.el(1, 0) / q.el(3)]], q).re.dtype == object

@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import sympy
 
-from eqlines.exactalg import Ring
+from eqlines.exactalg import Components, Ring, exact_dtype
 from eqlines.hadamard import SignMatrix, paley, sylvester
 from eqlines.sic import (
     SicError,
@@ -164,3 +165,49 @@ def test_constructible_orders_contains_classics():
 def test_rank_axiom(d2_sic):
     from eqlines.exactalg import mat_rank
     assert mat_rank(d2_sic.matrix()) == d2_sic.d
+
+
+# d = 8 over GF(p^2) for primes past the int64 bound, where int64 Gram sums
+# would overflow on these very systems: 506166779, 2^31 - 1 and 2^61 - 1
+LARGE_PRIMES = [506166779, 2147483647, 2305843009213693951]
+
+
+def _tampered(s, u, t, change):
+    vectors = [list(v) for v in s.vectors]
+    vectors[u][t] = change(vectors[u][t])
+    return SicSystem(s.d, s.ring, tuple(tuple(v) for v in vectors), s.source, s.z)
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_large_prime_systems_verify_exactly(p):
+    s = construct_sic(sylvester(3), Ring(f"gf:{p}"))
+    assert verify_sic(s).passed
+    off = ~np.eye(64, dtype=bool)
+    assert np.array_equal(s.observed_phases[off], s.gram_phases[off])
+    i = s.ring.i
+    # x + i changes the norm of a +-1 component: (x_5, x_5) != 12
+    v = verify_sic(_tampered(s, 5, 2, lambda x: x + i))
+    assert (v.passed, v.failed_axiom, v.witness) == (False, "a", (5,))
+    # i x keeps every norm but turns some (x_u, x_5) away from 4 i^k
+    v = verify_sic(_tampered(s, 5, 2, lambda x: x * i))
+    assert (v.passed, v.failed_axiom) == (False, "b") and 5 in v.witness
+
+
+def _prime_3mod4(start, step):
+    q = start
+    while q % 4 != 3 or not sympy.isprime(q):
+        q += step
+    return q
+
+
+def test_component_dtype_threshold():
+    assert exact_dtype(2**63 - 1) is np.int64
+    assert exact_dtype(2**63) is object
+    # 64 x 8 components over GF(p^2): the bound 128 (p - 1)^2 reaches 2^63
+    # exactly when p - 1 reaches 2^28
+    below, above = _prime_3mod4(2**28, -1), _prime_3mod4(2**28, 1)
+    for p, dtype in [(below, np.int64), (above, object)]:
+        s = construct_sic(sylvester(3), Ring(f"gf:{p}"))
+        assert Components.of(s.vectors, s.ring).re.dtype == dtype
+        assert verify_sic(s).passed
+        assert not verify_sic(_tampered(s, 0, 0, lambda x: x + s.ring.one)).passed
