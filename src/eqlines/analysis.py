@@ -171,7 +171,10 @@ def sic_aut_parts(s: SicSystem, budget: int = DEFAULT_BUDGET) -> SicAutParts:
     """Base group plus coset representatives for every recoloring the
     characteristic admits.  The global sign eps = -1 can only occur in
     characteristic 3, so it is attempted exactly there; the conjugation
-    twist is always attempted (it matters for the weak group only)."""
+    twist is always attempted (it matters for the weak group only).
+
+    s must be a verified system (see sic.verify_sic): the searches read
+    its phase table and do not check the axioms."""
     graph = encode_sic_graph(s.gram_phases)
     lifted = graph_automorphisms(graph, budget)
     n2 = s.d ** 2
@@ -323,14 +326,24 @@ class SandwichReport:
 
 
 def sandwich_report(h: SignMatrix, ring, budget: int = DEFAULT_BUDGET,
-                    parts: SicAutParts | None = None) -> SandwichReport:
+                    parts: SicAutParts | None = None,
+                    system: SicSystem | None = None) -> SandwichReport:
     """Compute the chain iota(weak(H)) <= strong(lines) <= weak(lines)
     <= strong(Ht) on [d] x [d], certify each inclusion by generator
     membership, and report exact orders, indices, orbit partitions and
-    transitivity degrees."""
+    transitivity degrees.
+
+    Like sic_aut_parts, this expects the line system of h over ring to
+    be verified (see sic.verify_sic); it does not check the axioms.
+    Pass that system, or parts computed from it, to reuse it; without
+    either, the system is constructed here."""
     if not isinstance(ring, Ring):
         ring = Ring(ring)
-    s = construct_sic(h, ring)
+    s = parts.system if parts is not None else system
+    if s is None:
+        s = construct_sic(h, ring)
+    elif s.ring.spec != ring.spec or s.source != h:
+        raise AnalysisError("line system was not built from this matrix and ring")
     if parts is None:
         parts = sic_aut_parts(s, budget)
     chain = {

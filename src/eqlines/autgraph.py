@@ -12,6 +12,13 @@ partition coarser, never finer, so no valid mapping is pruned, and
 every map produced at a leaf is re-verified against the full edge
 color matrix before it is reported.  A deterministic seed keeps runs
 reproducible.
+
+Only the second graph's side of the search branches: the first graph
+always individualizes the first vertex of its target cell, so its
+partition is a function of the depth.  It is refined once per depth,
+and every node refines the second graph alone against the cached
+rounds.  On the first path, candidates are pruned by an orbit closure
+that is kept up to date as candidates are tried and generators found.
 """
 from __future__ import annotations
 
@@ -29,7 +36,9 @@ _NCODES = 6 * 6
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when the search explores more nodes than allowed."""
+    """Raised when one search explores more nodes than its budget; the
+    message names the search (graph_automorphisms or find_isomorphism),
+    the graph size and the node count."""
 
 
 class GraphError(ValueError):
@@ -197,22 +206,45 @@ def _group_classes(cls: np.ndarray, sig: np.ndarray):
     c, s = cls[order], sig[order]
     head = np.empty(n, dtype=bool)
     head[0] = True
-    head[1:] = (c[1:] != c[:-1]) | (s[1:] != s[:-1])
-    ids = np.cumsum(head) - 1
+    np.not_equal(c[1:], c[:-1], out=head[1:])
+    head[1:] |= s[1:] != s[:-1]
     new = np.empty(n, dtype=np.int64)
-    new[order] = ids
+    new[order] = np.cumsum(head) - 1
     starts = np.flatnonzero(head)
-    counts = np.diff(np.append(starts, n))
+    counts = np.empty_like(starts)
+    counts[:-1] = starts[1:] - starts[:-1]
+    counts[-1] = n - starts[-1]
     return new, (c[head], s[head]), counts
 
 
+@dataclass
+class _Level:
+    """The fixed side's state at one search depth: the (boundary keys,
+    counts) of each refinement round, the stable partition, and, above
+    the leaves, the target cell and the vertex b individualized in it."""
+
+    depth: int
+    rounds: list
+    cls: np.ndarray
+    ncls: int
+    cell: int = -1
+    b: int = -1
+
+
 class _Search:
-    """Individualization-refinement over a pair of colored digraphs."""
+    """Individualization-refinement over a pair of colored digraphs.
+
+    Graph A is the fixed side: at every node it individualizes b, the
+    first vertex of its target cell, so A's partition and refinement
+    rounds depend on the depth alone.  They are computed once per depth,
+    the first time the depth is reached, and each later node refines
+    only B, comparing it round by round against A's cached rounds."""
 
     def __init__(self, ga: ColoredDigraph, eb: np.ndarray, vcolb: np.ndarray,
-                 budget: int):
+                 budget: int, name: str):
         self.n = ga.n
         self.budget = budget
+        self.name = name
         self.nodes = 0
         rng = np.random.default_rng(0x5E1FC0DE)
         redge = rng.integers(0, 2 ** 64, size=_NCODES, dtype=np.uint64)
@@ -222,24 +254,63 @@ class _Search:
         self.EB, self.vcolB = eb, vcolb
         self.MA = redge[ea * 6 + ea.T]
         self.MB = self.MA if eb is ga.edge_color else redge[ebi * 6 + ebi.T]
+        self.rootA = ga.vertex_color.astype(np.int64)
+        self.rootB = vcolb.astype(np.int64)
+        self.root_ncls = len(np.unique(np.concatenate([self.rootA, self.rootB])))
+        self.mixed = _mix(np.arange(self.n))
+        self.levels: list[_Level] = []
         self.gens: list[np.ndarray] = []
 
-    def _refine(self, clsA, clsB, ncls):
-        """Lockstep refinement; None if the partitions stop matching."""
-        while True:
-            sa = self.MA @ _mix(clsA)
-            sb = self.MB @ _mix(clsB)
-            newA, keysA, countsA = _group_classes(clsA, sa)
-            newB, keysB, countsB = _group_classes(clsB, sb)
-            if (countsA.size != countsB.size
-                    or not np.array_equal(keysA[0], keysB[0])
-                    or not np.array_equal(keysA[1], keysB[1])
-                    or not np.array_equal(countsA, countsB)):
+    def _signature(self, M, cls):
+        """M @ _mix(cls).  The root partitions are vertex colors of any
+        value; every later partition holds class ids in 0..n-1, whose
+        mixes are looked up."""
+        if cls is self.rootA or cls is self.rootB:
+            return M @ _mix(cls)
+        return M @ self.mixed[cls]
+
+    def _fixed_input(self, up: _Level | None):
+        """A's partition and class count entering the child of ``up``
+        (the root when ``up`` is None)."""
+        if up is None:
+            return self.rootA, self.root_ncls
+        return self._indiv(up.cls, up.b, up.ncls), up.ncls + 1
+
+    def _level(self, up: _Level | None, rounds, cls, ncls) -> _Level:
+        """A's level below ``up`` after the given rounds."""
+        depth = 0 if up is None else up.depth + 1
+        if ncls == self.n:
+            return _Level(depth, rounds, cls, ncls)
+        counts = np.bincount(cls, minlength=ncls)
+        live = np.flatnonzero(counts > 1)
+        c = int(live[np.argmin(counts[live])])
+        return _Level(depth, rounds, cls, ncls, c, int(np.flatnonzero(cls == c)[0]))
+
+    def _refine(self, up: _Level | None, clsB):
+        """Refine B in the child of ``up``; returns (A's level, B's
+        partition), or None if the partitions stop matching.  A's rounds
+        are computed here on the first visit to the child's depth."""
+        depth = 0 if up is None else up.depth + 1
+        if depth == len(self.levels):
+            clsA, ncls = self._fixed_input(up)
+            rounds = []
+            while True:
+                clsA, keys, counts = _group_classes(clsA, self._signature(self.MA, clsA))
+                rounds.append((keys, counts))
+                if counts.size == ncls:
+                    break
+                ncls = counts.size
+            self.levels.append(self._level(up, rounds, clsA, ncls))
+        level = self.levels[depth]
+        for keys, counts in level.rounds:
+            newB, keysB, countsB = _group_classes(clsB, self._signature(self.MB, clsB))
+            if (counts.size != countsB.size
+                    or not np.array_equal(keys[0], keysB[0])
+                    or not np.array_equal(keys[1], keysB[1])
+                    or not np.array_equal(counts, countsB)):
                 return None
-            clsA, clsB = newA, newB
-            if countsA.size == ncls:
-                return clsA, clsB, ncls
-            ncls = countsA.size
+            clsB = newB
+        return level, clsB
 
     def _leaf(self, clsA, clsB):
         inv_b = np.argsort(clsB)
@@ -251,7 +322,9 @@ class _Search:
     def _tick(self):
         self.nodes += 1
         if self.nodes > self.budget:
-            raise BudgetExceeded(f"search exceeded {self.budget} nodes")
+            raise BudgetExceeded(
+                f"{self.name} exceeded its budget of {self.budget} search nodes "
+                f"on a {self.n}-vertex graph after {self.nodes} nodes")
 
     @staticmethod
     def _indiv(cls, v, ncls):
@@ -259,96 +332,104 @@ class _Search:
         out[v] = ncls
         return out
 
-    def _cell(self, clsA, ncls):
-        counts = np.bincount(clsA, minlength=ncls)
-        live = np.flatnonzero(counts > 1)
-        c = live[np.argmin(counts[live])]
-        return int(c)
-
     # -- isomorphism: first full map wins ---------------------------------
-    def find_isomorphism(self, clsA, clsB, ncls):
+    def find_isomorphism(self, up, clsB):
         self._tick()
-        state = self._refine(clsA, clsB, ncls)
+        state = self._refine(up, clsB)
         if state is None:
             return None
-        clsA, clsB, ncls = state
-        if ncls == self.n:
-            return self._leaf(clsA, clsB)
-        c = self._cell(clsA, ncls)
-        b = int(np.flatnonzero(clsA == c)[0])
-        for w in np.flatnonzero(clsB == c):
-            f = self.find_isomorphism(self._indiv(clsA, b, ncls),
-                                      self._indiv(clsB, int(w), ncls),
-                                      ncls + 1)
+        level, clsB = state
+        if level.ncls == self.n:
+            return self._leaf(level.cls, clsB)
+        for w in np.flatnonzero(clsB == level.cell):
+            f = self.find_isomorphism(level, self._indiv(clsB, int(w), level.ncls))
             if f is not None:
                 return f
         return None
 
     # -- automorphisms: generators of the full group ----------------------
-    def _orbit(self, seeds, base):
-        """Closure of seeds under found generators fixing base pointwise."""
-        fixing = [g for g in self.gens if all(g[x] == x for x in base)]
-        reach = set(seeds)
-        frontier = list(seeds)
-        while frontier:
-            v = frontier.pop()
-            for g in fixing:
-                u = int(g[v])
-                if u not in reach:
-                    reach.add(u)
-                    frontier.append(u)
-        return reach
-
-    def find_automorphisms(self, clsA, clsB, ncls, base, first_path):
+    def find_automorphisms(self, up, clsB, base, first_path):
         self._tick()
-        state = self._refine(clsA, clsB, ncls)
+        state = self._refine(up, clsB)
         if state is None:
             return False
-        clsA, clsB, ncls = state
-        if ncls == self.n:
-            f = self._leaf(clsA, clsB)
+        level, clsB = state
+        if level.ncls == self.n:
+            f = self._leaf(level.cls, clsB)
             if f is None or np.array_equal(f, np.arange(self.n)):
                 return False
             self.gens.append(f)
             return True
-        c = self._cell(clsA, ncls)
-        b = int(np.flatnonzero(clsA == c)[0])
-        cands = [int(w) for w in np.flatnonzero(clsB == c)]
+        b, ncls = level.b, level.ncls
+        cands = [int(w) for w in np.flatnonzero(clsB == level.cell)]
         if not first_path:
             for w in cands:
-                if self.find_automorphisms(self._indiv(clsA, b, ncls),
-                                           self._indiv(clsB, w, ncls),
-                                           ncls + 1, base + [b], False):
+                if self.find_automorphisms(level, self._indiv(clsB, w, ncls),
+                                           base + [b], False):
                     return True
             return False
         # on the first path b itself comes first, then one representative
         # per orbit of the generators found so far that fix the base
         cands.sort(key=lambda w: (w != b, w))
         found = False
-        tried: list[int] = []
+        orbit = _OrbitClosure(base)
         for w in cands:
-            if tried and w in self._orbit(tried, base):
+            if orbit.contains(w, self.gens):
                 continue
-            if self.find_automorphisms(self._indiv(clsA, b, ncls),
-                                       self._indiv(clsB, w, ncls),
-                                       ncls + 1, base + [b], w == b):
+            if self.find_automorphisms(level, self._indiv(clsB, w, ncls),
+                                       base + [b], w == b):
                 found = True
-            tried.append(w)
+            orbit.add(w)
         return found
 
 
-def _initial_classes(vcol: np.ndarray) -> np.ndarray:
-    return vcol.astype(np.int64)
+class _OrbitClosure:
+    """Closure of the candidates tried so far under the found generators
+    that fix base pointwise.  Rebuilt when generators have been added
+    since the last query, otherwise extended from each new candidate."""
+
+    def __init__(self, base: list[int]):
+        self.base = np.asarray(base, dtype=np.int64)
+        self.tried: list[int] = []
+        self.fixing: list[np.ndarray] = []
+        self.seen_gens = 0
+        self.reach: set[int] = set()
+
+    def contains(self, w: int, gens: list[np.ndarray]) -> bool:
+        if len(gens) > self.seen_gens:
+            self.fixing += [g for g in gens[self.seen_gens:]
+                            if np.array_equal(g[self.base], self.base)]
+            self.seen_gens = len(gens)
+            self.reach = set()
+            for v in self.tried:
+                self._extend(v)
+        return w in self.reach
+
+    def add(self, w: int):
+        self.tried.append(w)
+        self._extend(w)
+
+    def _extend(self, seed: int):
+        if seed in self.reach:
+            return
+        self.reach.add(seed)
+        frontier = [seed]
+        while frontier:
+            v = frontier.pop()
+            for g in self.fixing:
+                u = int(g[v])
+                if u not in self.reach:
+                    self.reach.add(u)
+                    frontier.append(u)
 
 
 def graph_automorphisms(graph: ColoredDigraph, budget: int = 10 ** 7) -> PermGroup:
     """Group of color-preserving vertex automorphisms (as a PermGroup on
     the vertex set).  Every generator has been checked against the full
     edge and vertex color matrices."""
-    s = _Search(graph, graph.edge_color, graph.vertex_color, budget)
-    cls = _initial_classes(graph.vertex_color)
-    ncls = len(np.unique(cls))
-    s.find_automorphisms(cls, cls.copy(), ncls, [], True)
+    s = _Search(graph, graph.edge_color, graph.vertex_color, budget,
+                "graph_automorphisms")
+    s.find_automorphisms(None, s.rootB, [], True)
     gens = [Permutation(g) for g in s.gens]
     return PermGroup(gens, graph.n)
 
@@ -357,11 +438,8 @@ def find_isomorphism(graph: ColoredDigraph, eb: np.ndarray, vcolb: np.ndarray,
                      budget: int = 10 ** 7) -> Permutation | None:
     """A single color isomorphism from graph onto the digraph with edge
     colors eb and vertex colors vcolb, or None."""
-    s = _Search(graph, eb, vcolb, budget)
-    clsA = _initial_classes(graph.vertex_color)
-    clsB = _initial_classes(vcolb)
-    ncls = len(np.unique(np.concatenate([clsA, clsB])))
-    f = s.find_isomorphism(clsA, clsB, ncls)
+    s = _Search(graph, eb, vcolb, budget, "find_isomorphism")
+    f = s.find_isomorphism(None, s.rootB)
     return None if f is None else Permutation(f)
 
 

@@ -178,6 +178,7 @@ def test_criterion_04_tensor_gram(gram_suite, hoggar):
     _ok(4)
 
 
+@pytest.mark.slow
 def test_criterion_05_order20_classes(order20):
     want_orbits = {"paley1": [20, 380], "paley2_gf9": [40, 360],
                    "goethals_seidel": [80, 320]}
@@ -190,6 +191,7 @@ def test_criterion_05_order20_classes(order20):
     _ok(5)
 
 
+@pytest.mark.slow
 def test_criterion_06_paley19(order20):
     rep = order20["paley1"]["report"]
     gs = rep.groups["strong_sic"]
@@ -234,6 +236,7 @@ def test_criterion_08_witness_identity():
     _ok(8, "(300 witnesses)")
 
 
+@pytest.mark.slow
 def test_criterion_09_certificate_roundtrip(hoggar, order20):
     cases = [hoggar] + [order20[k] for k in order20]
     # earlier criteria reuse these smaller systems too

@@ -8,6 +8,10 @@ from eqlines.autgraph import (
     ColoredDigraph,
     GraphError,
     Recoloring,
+    _group_classes,
+    _mix,
+    _OrbitClosure,
+    _Search,
     color_refine,
     encode_phased_matrix_graph,
     encode_sic_graph,
@@ -17,7 +21,7 @@ from eqlines.autgraph import (
     project_fiber,
 )
 from eqlines.exactalg import Ring
-from eqlines.hadamard import SignMatrix, sylvester
+from eqlines.hadamard import SignMatrix, from_recipe, sylvester
 from eqlines.permgroup import Permutation
 from eqlines.sic import construct_sic
 
@@ -77,8 +81,13 @@ def test_automorphisms_verified_brute_force():
 
 def test_budget_enforced():
     g = _cycle_graph(12)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as exc:
         graph_automorphisms(g, budget=2)
+    msg = str(exc.value)
+    assert "graph_automorphisms" in msg and "budget of 2 " in msg
+    assert "12-vertex graph" in msg and "after 3 nodes" in msg
+    with pytest.raises(BudgetExceeded, match="find_isomorphism .* 12-vertex graph"):
+        find_isomorphism(g, g.edge_color, g.vertex_color, budget=1)
 
 
 def test_find_isomorphism_relabeled_graph():
@@ -156,3 +165,197 @@ def test_colored_digraph_validation():
     with pytest.raises(GraphError):
         ColoredDigraph(2, np.zeros(2, dtype=np.int64),
                        np.full((2, 2), 9, dtype=np.uint8), 1)
+
+
+# -- cross-checks of the search against brute force and a lockstep reference
+
+
+def _random_graph(rng, n, fiber, npayload, kind, nvcol):
+    """Random colored digraph on n vertices in fibers of the given size.
+    Same-fiber edges get COLOR_FIBER, the others colors from
+    {0, 2, ..., npayload + 1}: independently ("random"), symmetric
+    ("undirected"), or depending only on the difference of the fiber
+    indices mod n // fiber and of the positions in the fibers
+    ("circulant", with a vertex-transitive group).  Vertex colors are
+    constant on fibers."""
+    palette = np.array([0] + list(range(2, npayload + 2)), dtype=np.uint8)
+    fib, pos = np.arange(n) // fiber, np.arange(n) % fiber
+    if kind == "circulant":
+        m = n // fiber
+        table = palette[rng.integers(0, palette.size, size=(m, fiber))]
+        e = table[(fib[None, :] - fib[:, None]) % m, (pos[None, :] - pos[:, None]) % fiber]
+        vcol = np.zeros(n, dtype=np.int64)
+    else:
+        e = palette[rng.integers(0, palette.size, size=(n, n))]
+        if kind == "undirected":
+            e = np.triu(e, 1)
+            e = e + e.T
+        vcol = rng.integers(0, nvcol, size=n // fiber).repeat(fiber).astype(np.int64)
+    e[fib[:, None] == fib[None, :]] = 1
+    np.fill_diagonal(e, 0)
+    return ColoredDigraph(n, vcol, e, fiber)
+
+
+def _all_perms(n):
+    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+
+
+def _isomorphisms(ga, gb, perms):
+    """Maps f with gb[f(u), f(v)] = ga[u, v] and equal vertex colors."""
+    ok = (gb.edge_color[perms[:, :, None], perms[:, None, :]] == ga.edge_color).all(axis=(1, 2))
+    ok &= (gb.vertex_color[perms] == ga.vertex_color).all(axis=1)
+    return perms[ok]
+
+
+def _random_cases(seed, count):
+    """count graphs with n <= 7, fibers of size 1 and 2, one to three
+    payload colors, one or two vertex colors."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        fiber = 1 + k % 2
+        n = int(rng.integers(1, 4)) * 2 if fiber == 2 else int(rng.integers(2, 8))
+        kind = ("random", "undirected", "circulant")[k % 3]
+        yield rng, _random_graph(rng, n, fiber, int(rng.integers(1, 4)), kind,
+                                 int(rng.integers(1, 3)))
+
+
+def _relabel(rng, g):
+    f0 = rng.permutation(g.n)
+    eb = np.zeros_like(g.edge_color)
+    eb[np.ix_(f0, f0)] = g.edge_color
+    vb = np.empty_like(g.vertex_color)
+    vb[f0] = g.vertex_color
+    return ColoredDigraph(g.n, vb, eb, g.fiber_size)
+
+
+def test_automorphism_orders_match_brute_force():
+    orders = []
+    for _, g in _random_cases(11, 30):
+        group = graph_automorphisms(g)
+        for gen in group.generators:
+            assert len(_isomorphisms(g, g, gen.img[None, :])) == 1
+        brute = len(_isomorphisms(g, g, _all_perms(g.n)))
+        assert group.order() == brute
+        orders.append(brute)
+    assert max(orders) >= 8  # the cases include vertex-transitive groups
+
+
+def test_find_isomorphism_matches_brute_force():
+    verdicts = set()
+    for rng, g in _random_cases(12, 30):
+        b = _relabel(rng, g)
+        iso = find_isomorphism(g, b.edge_color, b.vertex_color)
+        assert iso is not None
+        assert len(_isomorphisms(g, b, iso.img[None, :])) == 1
+        # swap two edge colors outside the fibers: the color counts stay,
+        # isomorphism may or may not survive; exhaustive search decides
+        off = np.argwhere((b.edge_color != 1) & ~np.eye(g.n, dtype=bool))
+        if not len(off):
+            continue
+        u, v = off[rng.choice(len(off), size=2)]
+        e = b.edge_color.copy()
+        e[tuple(u)], e[tuple(v)] = e[tuple(v)], e[tuple(u)]
+        other = ColoredDigraph(g.n, b.vertex_color, e, g.fiber_size)
+        iso = find_isomorphism(g, other.edge_color, other.vertex_color)
+        brute = _isomorphisms(g, other, _all_perms(g.n))
+        assert (iso is None) == (len(brute) == 0)
+        if iso is not None:
+            assert len(_isomorphisms(g, other, iso.img[None, :])) == 1
+        verdicts.add(iso is None)
+    assert verdicts == {True, False}
+
+
+def test_find_isomorphism_needs_search_to_reject():
+    # a 6-cycle and two triangles are both 2-regular: refinement alone
+    # cannot tell them apart, the search has to
+    hexagon = _cycle_graph(6)
+    e = np.zeros((6, 6), dtype=np.uint8)
+    for tri in ((0, 1, 2), (3, 4, 5)):
+        for u in tri:
+            for v in tri:
+                if u != v:
+                    e[u, v] = 2
+    assert color_refine(hexagon)[1] == 1
+    assert find_isomorphism(hexagon, e, hexagon.vertex_color) is None
+
+
+class _Lockstep(_Search):
+    """Reference search: refines both graphs in lockstep at every node,
+    recomputing the first graph's rounds each time instead of caching
+    them per depth."""
+
+    def _refine(self, up, clsB):
+        clsA, ncls = self._fixed_input(up)
+        while True:
+            newA, keysA, countsA = _group_classes(clsA, self.MA @ _mix(clsA))
+            newB, keysB, countsB = _group_classes(clsB, self.MB @ _mix(clsB))
+            if (countsA.size != countsB.size
+                    or not np.array_equal(keysA[0], keysB[0])
+                    or not np.array_equal(keysA[1], keysB[1])
+                    or not np.array_equal(countsA, countsB)):
+                return None
+            clsA, clsB = newA, newB
+            if countsA.size == ncls:
+                return self._level(up, [], clsA, ncls), clsB
+            ncls = countsA.size
+
+
+def _differential_graphs():
+    yield "sic sylvester:1 gf:3", encode_sic_graph(
+        construct_sic(sylvester(1), Ring("gf:3")).gram_phases)
+    for recipe in ("sylvester:3", "paley1:7"):
+        for mode in ("weak", "strong"):
+            yield f"{recipe} {mode}", encode_phased_matrix_graph(from_recipe(recipe), mode)
+
+
+@pytest.mark.parametrize("name,graph", list(_differential_graphs()))
+def test_cached_rounds_match_lockstep_refinement(name, graph):
+    runs = []
+    for cls in (_Search, _Lockstep):
+        s = cls(graph, graph.edge_color, graph.vertex_color, 10 ** 7, "graph_automorphisms")
+        s.find_automorphisms(None, s.rootB, [], True)
+        runs.append(s)
+    cached, lockstep = runs
+    assert cached.nodes == lockstep.nodes > 1
+    assert len(cached.gens) == len(lockstep.gens) > 0
+    for a, b in zip(cached.gens, lockstep.gens):
+        assert np.array_equal(a, b)
+    eb = Recoloring(1, "conj").apply(graph.edge_color)
+    maps = []
+    for cls in (_Search, _Lockstep):
+        s = cls(graph, eb, graph.vertex_color, 10 ** 7, "find_isomorphism")
+        maps.append((s.find_isomorphism(None, s.rootB), s.nodes))
+    assert maps[0][1] == maps[1][1]
+    assert (maps[0][0] is None) == (maps[1][0] is None)
+    if maps[0][0] is not None:
+        assert np.array_equal(maps[0][0], maps[1][0])
+
+
+def _closure(seeds, gens, base):
+    fixing = [g for g in gens if all(g[x] == x for x in base)]
+    reach, frontier = set(seeds), list(seeds)
+    while frontier:
+        v = frontier.pop()
+        for g in fixing:
+            if int(g[v]) not in reach:
+                reach.add(int(g[v]))
+                frontier.append(int(g[v]))
+    return reach
+
+
+def test_orbit_closure_matches_recomputed_closure():
+    rng = np.random.default_rng(3)
+    n = 9
+    for _ in range(40):
+        base = [int(x) for x in rng.choice(n, size=int(rng.integers(0, 3)), replace=False)]
+        gens, tried = [], []
+        orbit = _OrbitClosure(base)
+        for w in rng.permutation(n):
+            if rng.random() < 0.4:
+                g = np.arange(n)
+                moved = [v for v in range(n) if v not in base or rng.random() < 0.3]
+                g[moved] = rng.permutation(moved)
+                gens.append(g)
+            assert orbit.contains(int(w), gens) == (int(w) in _closure(tried, gens, base))
+            orbit.add(int(w))
+            tried.append(int(w))

@@ -101,6 +101,7 @@ def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "aut", "sic", "--had", "paley1:19",
                        "--ring", "gf:3", "--budget", "5")
     assert code == 3
+    assert "graph_automorphisms exceeded its budget of 5 search nodes" in err
 
 
 def test_sandwich_json_deterministic(capsys):
@@ -113,6 +114,22 @@ def test_sandwich_json_deterministic(capsys):
     blob = json.loads(out1)
     assert blob["indices"][1] in (1, 2)
     assert blob["groups"]["strong_sic"]["order"] == "24"
+
+
+def test_sandwich_constructs_once(capsys, monkeypatch):
+    import eqlines.analysis as analysis
+    import eqlines.cli as cli
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return construct(*args, **kwargs)
+
+    construct = cli.construct_sic
+    monkeypatch.setattr(cli, "construct_sic", counted)
+    monkeypatch.setattr(analysis, "construct_sic", counted)
+    code, _, _ = run(capsys, "sandwich", "--had", "sylvester:1", "--ring", "gf:3")
+    assert code == 0 and len(calls) == 1
 
 
 def test_witness_check(capsys, tmp_path):
