@@ -326,8 +326,7 @@ class SandwichReport:
 
 
 def sandwich_report(h: SignMatrix, ring, budget: int = DEFAULT_BUDGET,
-                    parts: SicAutParts | None = None,
-                    system: SicSystem | None = None) -> SandwichReport:
+                    parts: SicAutParts | None = None) -> SandwichReport:
     """Compute the chain iota(weak(H)) <= strong(lines) <= weak(lines)
     <= strong(Ht) on [d] x [d], certify each inclusion by generator
     membership, and report exact orders, indices, orbit partitions and
@@ -335,17 +334,11 @@ def sandwich_report(h: SignMatrix, ring, budget: int = DEFAULT_BUDGET,
 
     Like sic_aut_parts, this expects the line system of h over ring to
     be verified (see sic.verify_sic); it does not check the axioms.
-    Pass that system, or parts computed from it, to reuse it; without
-    either, the system is constructed here."""
+    Without parts, the system is constructed here."""
     if not isinstance(ring, Ring):
         ring = Ring(ring)
-    s = parts.system if parts is not None else system
-    if s is None:
-        s = construct_sic(h, ring)
-    elif s.ring.spec != ring.spec or s.source != h:
-        raise AnalysisError("line system was not built from this matrix and ring")
     if parts is None:
-        parts = sic_aut_parts(s, budget)
+        parts = sic_aut_parts(construct_sic(h, ring), budget)
     chain = {
         "iota_weak_H": iota_weak_group(h, budget),
         "strong_sic": parts.group("strong"),

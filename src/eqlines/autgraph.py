@@ -206,14 +206,12 @@ def _group_classes(cls: np.ndarray, sig: np.ndarray):
     c, s = cls[order], sig[order]
     head = np.empty(n, dtype=bool)
     head[0] = True
-    np.not_equal(c[1:], c[:-1], out=head[1:])
-    head[1:] |= s[1:] != s[:-1]
+    head[1:] = (c[1:] != c[:-1]) | (s[1:] != s[:-1])
+    ids = np.cumsum(head) - 1
     new = np.empty(n, dtype=np.int64)
-    new[order] = np.cumsum(head) - 1
+    new[order] = ids
     starts = np.flatnonzero(head)
-    counts = np.empty_like(starts)
-    counts[:-1] = starts[1:] - starts[:-1]
-    counts[-1] = n - starts[-1]
+    counts = np.diff(np.append(starts, n))
     return new, (c[head], s[head]), counts
 
 
@@ -257,17 +255,8 @@ class _Search:
         self.rootA = ga.vertex_color.astype(np.int64)
         self.rootB = vcolb.astype(np.int64)
         self.root_ncls = len(np.unique(np.concatenate([self.rootA, self.rootB])))
-        self.mixed = _mix(np.arange(self.n))
         self.levels: list[_Level] = []
         self.gens: list[np.ndarray] = []
-
-    def _signature(self, M, cls):
-        """M @ _mix(cls).  The root partitions are vertex colors of any
-        value; every later partition holds class ids in 0..n-1, whose
-        mixes are looked up."""
-        if cls is self.rootA or cls is self.rootB:
-            return M @ _mix(cls)
-        return M @ self.mixed[cls]
 
     def _fixed_input(self, up: _Level | None):
         """A's partition and class count entering the child of ``up``
@@ -295,7 +284,7 @@ class _Search:
             clsA, ncls = self._fixed_input(up)
             rounds = []
             while True:
-                clsA, keys, counts = _group_classes(clsA, self._signature(self.MA, clsA))
+                clsA, keys, counts = _group_classes(clsA, self.MA @ _mix(clsA))
                 rounds.append((keys, counts))
                 if counts.size == ncls:
                     break
@@ -303,7 +292,7 @@ class _Search:
             self.levels.append(self._level(up, rounds, clsA, ncls))
         level = self.levels[depth]
         for keys, counts in level.rounds:
-            newB, keysB, countsB = _group_classes(clsB, self._signature(self.MB, clsB))
+            newB, keysB, countsB = _group_classes(clsB, self.MB @ _mix(clsB))
             if (counts.size != countsB.size
                     or not np.array_equal(keys[0], keysB[0])
                     or not np.array_equal(keys[1], keysB[1])
@@ -348,6 +337,21 @@ class _Search:
         return None
 
     # -- automorphisms: generators of the full group ----------------------
+    def _orbit(self, seeds, base, reach):
+        """Add to reach, a union of orbits, the closure of seeds under the
+        found generators fixing base pointwise; returns reach."""
+        fixing = [g for g in self.gens if all(g[x] == x for x in base)]
+        frontier = [v for v in seeds if v not in reach]
+        reach.update(frontier)
+        while frontier:
+            v = frontier.pop()
+            for g in fixing:
+                u = int(g[v])
+                if u not in reach:
+                    reach.add(u)
+                    frontier.append(u)
+        return reach
+
     def find_automorphisms(self, up, clsB, base, first_path):
         self._tick()
         state = self._refine(up, clsB)
@@ -369,58 +373,26 @@ class _Search:
                     return True
             return False
         # on the first path b itself comes first, then one representative
-        # per orbit of the generators found so far that fix the base
+        # per orbit of the generators found so far that fix the base;
+        # reach, the union of the tried candidates' orbits, is extended
+        # from each new candidate and rebuilt only when generators are found
         cands.sort(key=lambda w: (w != b, w))
         found = False
-        orbit = _OrbitClosure(base)
+        tried: list[int] = []
+        reach: set[int] = set()
+        ngens = len(self.gens)
         for w in cands:
-            if orbit.contains(w, self.gens):
+            if len(self.gens) > ngens:
+                ngens = len(self.gens)
+                reach = self._orbit(tried, base, set())
+            if w in reach:
                 continue
             if self.find_automorphisms(level, self._indiv(clsB, w, ncls),
                                        base + [b], w == b):
                 found = True
-            orbit.add(w)
+            tried.append(w)
+            self._orbit([w], base, reach)
         return found
-
-
-class _OrbitClosure:
-    """Closure of the candidates tried so far under the found generators
-    that fix base pointwise.  Rebuilt when generators have been added
-    since the last query, otherwise extended from each new candidate."""
-
-    def __init__(self, base: list[int]):
-        self.base = np.asarray(base, dtype=np.int64)
-        self.tried: list[int] = []
-        self.fixing: list[np.ndarray] = []
-        self.seen_gens = 0
-        self.reach: set[int] = set()
-
-    def contains(self, w: int, gens: list[np.ndarray]) -> bool:
-        if len(gens) > self.seen_gens:
-            self.fixing += [g for g in gens[self.seen_gens:]
-                            if np.array_equal(g[self.base], self.base)]
-            self.seen_gens = len(gens)
-            self.reach = set()
-            for v in self.tried:
-                self._extend(v)
-        return w in self.reach
-
-    def add(self, w: int):
-        self.tried.append(w)
-        self._extend(w)
-
-    def _extend(self, seed: int):
-        if seed in self.reach:
-            return
-        self.reach.add(seed)
-        frontier = [seed]
-        while frontier:
-            v = frontier.pop()
-            for g in self.fixing:
-                u = int(g[v])
-                if u not in self.reach:
-                    self.reach.add(u)
-                    frontier.append(u)
 
 
 def graph_automorphisms(graph: ColoredDigraph, budget: int = 10 ** 7) -> PermGroup:

@@ -206,7 +206,8 @@ def _cmd_aut_tilde(args) -> int:
 def _cmd_sandwich(args) -> int:
     m = from_recipe(args.had, cap=args.cap)
     s = _verified_sic(m, args)
-    rep = sandwich_report(m, s.ring, budget=args.budget, system=s)
+    rep = sandwich_report(m, s.ring, budget=args.budget,
+                          parts=sic_aut_parts(s, args.budget))
     payload = rep.to_json_dict()
     plain = " <= ".join(str(rep.orders[k]) for k in
                         ("iota_weak_H", "strong_sic", "weak_sic", "strong_tilde"))
