@@ -45,7 +45,6 @@ class AnalysisError(ValueError):
 
 @dataclass
 class HadamardAutResult:
-    order: int
     group: PermGroup
     """strong: permutations of [d].  weak: permutations of the disjoint
     union rows + columns (rows 0..d-1, columns d..2d-1), sides preserved."""
@@ -61,7 +60,7 @@ def hadamard_aut(m: SignMatrix, strength: str, budget: int = DEFAULT_BUDGET) -> 
     lifted = graph_automorphisms(g, budget)
     proj = PermGroup([project_fiber(p, 2) for p in lifted.generators],
                      lifted.n // 2)
-    return HadamardAutResult(proj.order(), proj, lifted)
+    return HadamardAutResult(proj, lifted)
 
 
 def split_weak_pair(g: Permutation, d: int) -> tuple[Permutation, Permutation]:
@@ -301,7 +300,6 @@ class SandwichReport:
     groups: dict[str, PermGroup]
     orders: dict[str, int]
     indices: tuple[int, int, int]
-    inclusions: tuple[bool, bool, bool]
     orbits: dict[str, list[list[int]]]
     transitivity: dict[str, int]
     totally_asymmetric: bool
@@ -346,12 +344,8 @@ def sandwich_report(h: SignMatrix, ring, budget: int = DEFAULT_BUDGET,
         "strong_tilde": tilde_strong_aut(h, budget),
     }
     names = list(chain)
-    indices = []
-    inclusions = []
-    for small, big in zip(names, names[1:]):
-        idx = subgroup_index(chain[big], chain[small])
-        indices.append(idx)
-        inclusions.append(True)
+    indices = tuple(subgroup_index(chain[big], chain[small])
+                    for small, big in zip(names, names[1:]))
     orders = {name: g.order() for name, g in chain.items()}
     orbits = {name: g.orbits() for name, g in chain.items()}
     transitivity = {name: g.transitivity_degree(cap=3) for name, g in chain.items()}
@@ -360,8 +354,7 @@ def sandwich_report(h: SignMatrix, ring, budget: int = DEFAULT_BUDGET,
         ring=ring.spec,
         groups=chain,
         orders=orders,
-        indices=tuple(indices),
-        inclusions=tuple(inclusions),
+        indices=indices,
         orbits=orbits,
         transitivity=transitivity,
         totally_asymmetric=orders["weak_sic"] == 1,

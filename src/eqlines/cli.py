@@ -176,9 +176,10 @@ def _cmd_sic_scan(args) -> int:
 def _cmd_aut_hadamard(args) -> int:
     m = from_recipe(args.had, cap=args.cap)
     res = hadamard_aut(m, args.strength, budget=args.budget)
-    payload = {"order": str(res.order), "strength": args.strength,
+    order = res.group.order()
+    payload = {"order": str(order), "strength": args.strength,
                "group": _group_payload(res.group)}
-    _emit(args, payload, f"order {res.order}")
+    _emit(args, payload, f"order {order}")
     return EXIT_OK
 
 
@@ -250,8 +251,6 @@ def _add_common(p, ring=False, budget=False):
                    help="largest matrix order to generate")
     p.add_argument("--json", action="store_true", help="force JSON output")
     p.add_argument("--out", help="write output to a file instead of stdout")
-    p.add_argument("--seed", type=int, default=0,
-                   help="reserved; all algorithms are deterministic")
     if ring:
         p.add_argument("--ring", required=True,
                        help="coefficient ring: gf:p, gauss, or gaussq")

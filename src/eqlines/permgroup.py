@@ -1,13 +1,14 @@
 """Permutations of finite point sets and permutation groups.
 
-Groups are stored as generators; exact order, membership and point
-stabilizers come from a deterministic stabilizer chain
-(sympy.combinatorics does the Schreier-Sims bookkeeping).  The chain is
-built lazily on first use.
+Groups are stored as generators.  Exact order, membership and
+transitivity degrees all come from one deterministic stabilizer chain
+(a base and strong generating set; sympy.combinatorics does the
+Schreier-Sims bookkeeping), built lazily on first use and cached on the
+group.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from sympy.combinatorics import Permutation as _SymPerm
@@ -160,21 +161,27 @@ class PermGroup:
 
     def is_k_transitive(self, k: int) -> bool:
         """True iff the action on ordered k-tuples of distinct points is
-        transitive, by iterated point stabilizers."""
+        transitive.
+
+        Read off the cached stabilizer chain: with base b_0, b_1, ...,
+        the basic orbit D_i is the orbit of b_i under the pointwise
+        stabilizer G^(i) of b_0, ..., b_{i-1}, and G is k-transitive iff
+        |D_i| = n - i for every i < k.  A level past the end of the base
+        has a trivial stabilizer and counts as an orbit of size 1.
+
+        Proof, by induction on k: G is k-transitive iff G is transitive
+        and the stabilizer G_x of a point x is (k-1)-transitive on the
+        other n - 1 points.  Take x = b_0: |D_0| = n says G is
+        transitive, and G_{b_0} = G^(1) has the basic orbits D_1, D_2, ...
+        on those n - 1 points.
+        """
         if k < 1 or k > self.n:
             raise PermError("need 1 <= k <= n")
         if not self.generators:
             return self.n == 1
-        g = self._group()
-        fixed: list[int] = []
-        for step in range(k):
-            pt = next(p for p in range(self.n) if p not in fixed)
-            orbit = g.orbit(pt)
-            if len(orbit) != self.n - step:
-                return False
-            g = g.stabilizer(pt)
-            fixed.append(pt)
-        return True
+        sizes = [len(o) for o in self._group().basic_orbits]
+        return all((sizes[i] if i < len(sizes) else 1) == self.n - i
+                   for i in range(k))
 
     def transitivity_degree(self, cap: int = 8) -> int:
         """Largest k <= cap with a k-transitive action (0 if intransitive)."""
@@ -182,10 +189,6 @@ class PermGroup:
         while t < min(cap, self.n) and self.is_k_transitive(t + 1):
             t += 1
         return t
-
-
-def group_from_generators(gens: Iterable[Permutation], n: int | None = None) -> PermGroup:
-    return PermGroup(list(gens), n)
 
 
 def subgroup_index(g: PermGroup, h: PermGroup) -> int:

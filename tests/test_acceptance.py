@@ -215,8 +215,8 @@ def test_criterion_07_order2_strong_classes():
     h1 = SignMatrix.from_array(np.array([[1, 1], [1, -1]]))
     h2 = SignMatrix.from_array(np.array([[1, 1], [-1, 1]]))
     h3 = SignMatrix.from_array(np.array([[-1, -1], [1, -1]]))
-    assert [hadamard_aut(m, "strong").order for m in (h1, h2, h3)] == [1, 2, 2]
-    assert [hadamard_aut(m, "weak").order for m in (h1, h2, h3)] == [4, 4, 4]
+    assert [hadamard_aut(m, "strong").group.order() for m in (h1, h2, h3)] == [1, 2, 2]
+    assert [hadamard_aut(m, "weak").group.order() for m in (h1, h2, h3)] == [4, 4, 4]
     # pairwise strong inequivalence: the trace is a strong invariant
     traces = [m.trace() for m in (h1, h2, h3)]
     assert len(set(traces)) == 3 and traces == [0, 2, -2]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from sympy.combinatorics.perm_groups import PermutationGroup
 
 from eqlines.analysis import (
     AnalysisError,
@@ -38,8 +39,8 @@ def d2_parts(d2):
 
 
 def test_order2_matrix_groups():
-    assert [hadamard_aut(m, "strong").order for m in (H1, H2, H3)] == [1, 2, 2]
-    assert [hadamard_aut(m, "weak").order for m in (H1, H2, H3)] == [4, 4, 4]
+    assert [hadamard_aut(m, "strong").group.order() for m in (H1, H2, H3)] == [1, 2, 2]
+    assert [hadamard_aut(m, "weak").group.order() for m in (H1, H2, H3)] == [4, 4, 4]
 
 
 def test_weak_pairs_split_cleanly():
@@ -157,7 +158,9 @@ def test_weak_equiv_rejects_bad_witness():
 
 def test_sandwich_sylvester1():
     rep = sandwich_report(H1, Ring("gf:3"))
-    assert rep.inclusions == (True, True, True)
+    chain = list(rep.groups.values())
+    for small, big in zip(chain, chain[1:]):
+        assert all(big.contains(g) for g in small.generators)
     assert rep.orders["iota_weak_H"] == 4
     assert rep.orders["strong_tilde"] >= 24
     assert not rep.totally_asymmetric
@@ -178,6 +181,19 @@ def test_sandwich_reuses_given_parts(monkeypatch):
 
     monkeypatch.setattr(analysis, "construct_sic", no_construct)
     assert sandwich_report(H1, ring, parts=sic_aut_parts(s)).to_json_dict() == want
+
+
+def test_sandwich_transitivity_needs_no_stabilizer(monkeypatch):
+    """Transitivity degrees come from the cached stabilizer chain; no
+    further point stabilizer is built.  The expected degrees were computed
+    with iterated point stabilizers."""
+    def no_stabilizer(*args, **kwargs):
+        raise AssertionError("a point stabilizer was computed")
+
+    monkeypatch.setattr(PermutationGroup, "stabilizer", no_stabilizer)
+    rep = sandwich_report(sylvester(3), Ring("gauss"))
+    assert rep.transitivity == {"iota_weak_H": 1, "strong_sic": 2,
+                                "weak_sic": 2, "strong_tilde": 2}
 
 
 def test_tilde_strong_small():

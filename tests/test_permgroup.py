@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from eqlines.permgroup import (
     PermError,
     PermGroup,
     Permutation,
-    group_from_generators,
     iota_embed,
     subgroup_index,
 )
@@ -55,7 +56,7 @@ def test_membership():
 
 
 def test_orbits():
-    g = group_from_generators([Permutation.from_cycles(5, (0, 1), (2, 3))], 5)
+    g = PermGroup([Permutation.from_cycles(5, (0, 1), (2, 3))], 5)
     assert g.orbits() == [[0, 1], [2, 3], [4]]
     assert g.orbit_sizes() == [1, 2, 2]
 
@@ -80,6 +81,67 @@ def test_transitivity_degree_alternating():
                     Permutation.from_cycles(n, tuple(range(n)))])
     assert a5.order() == 60
     assert a5.transitivity_degree() == 3
+
+
+def _affine(q, a, b):
+    """x -> a x + b on GF(q), q prime."""
+    return Permutation([(a * x + b) % q for x in range(q)])
+
+
+TRANSITIVITY_CASES = {
+    # base shorter than the largest k asked for
+    "S3": PermGroup([Permutation([1, 0, 2]), Permutation([1, 2, 0])]),
+    "AGL(1,5)": PermGroup([_affine(5, 1, 1), _affine(5, 2, 0)]),
+    # sharply 3-transitive on GF(5) + {oo}, oo as point 5: x -> x + 1,
+    # x -> 2x, x -> -1/x
+    "PGL(2,5)": PermGroup([Permutation([1, 2, 3, 4, 0, 5]),
+                           Permutation([0, 2, 4, 1, 3, 5]),
+                           Permutation([5, 4, 2, 3, 1, 0])]),
+    "C5": PermGroup([_affine(5, 1, 1)]),
+    "D5": PermGroup([_affine(5, 1, 1), _affine(5, 4, 0)]),
+    "intransitive": PermGroup([Permutation.from_cycles(5, (0, 1), (2, 3, 4))]),
+    "fixes a point": PermGroup([Permutation.from_cycles(5, (0, 1)),
+                                Permutation.from_cycles(5, (0, 1, 2, 3))]),
+    "trivial on 1": PermGroup([], n=1),
+    "trivial on 4": PermGroup([], n=4),
+}
+
+
+def _brute_k_transitive(g: PermGroup, k: int) -> bool:
+    """The orbit of one ordered k-tuple of distinct points, closed under the
+    generators, against the count of all such tuples."""
+    start = tuple(range(k))
+    orbit, frontier = {start}, [start]
+    while frontier:
+        t = frontier.pop()
+        for gen in g.generators:
+            u = tuple(gen(x) for x in t)
+            if u not in orbit:
+                orbit.add(u)
+                frontier.append(u)
+    return len(orbit) == sum(1 for _ in permutations(range(g.n), k))
+
+
+@pytest.mark.parametrize("name", list(TRANSITIVITY_CASES))
+def test_transitivity_matches_brute_force(name):
+    g = TRANSITIVITY_CASES[name]
+    brute = [_brute_k_transitive(g, k) for k in range(1, g.n + 1)]
+    assert [g.is_k_transitive(k) for k in range(1, g.n + 1)] == brute
+    degree = sum(brute)  # k-transitive implies (k-1)-transitive
+    assert brute == [True] * degree + [False] * (g.n - degree)
+    for cap in range(g.n + 2):
+        assert g.transitivity_degree(cap) == min(cap, degree)
+    for k in (0, g.n + 1):
+        with pytest.raises(PermError):
+            g.is_k_transitive(k)
+
+
+def test_transitivity_degrees_of_named_groups():
+    degrees = {name: g.transitivity_degree() for name, g in TRANSITIVITY_CASES.items()}
+    assert degrees == {"S3": 3, "AGL(1,5)": 2, "PGL(2,5)": 3, "C5": 1, "D5": 1,
+                       "intransitive": 0, "fixes a point": 0,
+                       "trivial on 1": 1, "trivial on 4": 0}
+    assert TRANSITIVITY_CASES["PGL(2,5)"].order() == 120
 
 
 def test_subgroup_index():
