@@ -43,24 +43,17 @@ class AnalysisError(ValueError):
 # sign matrix groups
 
 
-@dataclass
-class HadamardAutResult:
-    group: PermGroup
-    """strong: permutations of [d].  weak: permutations of the disjoint
-    union rows + columns (rows 0..d-1, columns d..2d-1), sides preserved."""
-    lifted: PermGroup
-
-
-def hadamard_aut(m: SignMatrix, strength: str, budget: int = DEFAULT_BUDGET) -> HadamardAutResult:
+def hadamard_aut(m: SignMatrix, strength: str, budget: int = DEFAULT_BUDGET) -> PermGroup:
     """Automorphism group of a sign matrix under signed permutations:
     one simultaneous permutation ("strong") or an independent row and
     column pair ("weak").  Sign vectors are quotiented out (they are
-    determined up to a global flip)."""
+    determined up to a global flip).  strong: permutations of [d].  weak:
+    permutations of the disjoint union rows + columns (rows 0..d-1,
+    columns d..2d-1), sides preserved."""
     g = encode_phased_matrix_graph(m, strength)
     lifted = graph_automorphisms(g, budget)
-    proj = PermGroup([project_fiber(p, 2) for p in lifted.generators],
+    return PermGroup([project_fiber(p, 2) for p in lifted.generators],
                      lifted.n // 2)
-    return HadamardAutResult(proj, lifted)
 
 
 def split_weak_pair(g: Permutation, d: int) -> tuple[Permutation, Permutation]:
@@ -76,8 +69,8 @@ def iota_weak_group(m: SignMatrix, budget: int = DEFAULT_BUDGET) -> PermGroup:
     """Image of the weak automorphism group of m inside Sym([d] x [d])
     under (pi, sigma) -> ((i,j) -> (pi i, sigma j))."""
     d = m.d
-    res = hadamard_aut(m, "weak", budget)
-    gens = [iota_embed(*split_weak_pair(g, d)) for g in res.group.generators]
+    gens = [iota_embed(*split_weak_pair(g, d))
+            for g in hadamard_aut(m, "weak", budget).generators]
     return PermGroup(gens, d * d)
 
 
@@ -203,8 +196,7 @@ def tilde_strong_aut(h: SignMatrix, budget: int = DEFAULT_BUDGET) -> PermGroup:
     """Strong automorphism group of the induced order d^2 sign matrix,
     as a permutation group on [d] x [d]."""
     ht = build_tilde(h, cap=max(h.d * h.d, 256))
-    res = hadamard_aut(ht, "strong", budget)
-    return res.group
+    return hadamard_aut(ht, "strong", budget)
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +263,18 @@ def weak_equiv_to_strong_sic_witness(h: SignMatrix, h_prime: SignMatrix,
     if bad is not None:
         raise AnalysisError(f"invalid weak equivalence witness at entry {bad}")
     d = h.d
-    s = construct_sic(h, ring)
-    sp = construct_sic(h_prime, ring)
-    for i in range(d):
-        for j in range(d):
-            u = i * d + j
-            target = sp.vectors[int(w.pi.img[i]) * d + int(w.sigma.img[j])]
-            src = s.vectors[u]
-            cj = int(w.col_signs[j])
-            for t in range(d):
-                lhs = target[int(w.pi.img[t])]
-                rhs = src[t] if cj * int(w.row_signs[t]) == 1 else -src[t]
-                if lhs != rhs:
-                    raise AnalysisError(
-                        f"identity fails at vector ({i},{j}) component {t}")
+    x, xp = construct_sic(h, ring).vectors, construct_sic(h_prime, ring).vectors
+    # over the (i, j, t) axes: x'[pi i, sigma j][pi t] - c_j r_t x[i, j][t]
+    pick = np.ix_(w.pi.img, w.sigma.img, w.pi.img)
+    sign = w.col_signs[None, :, None] * w.row_signs[None, None, :]
+    diff = [a.reshape(d, d, d)[pick] - sign * b.reshape(d, d, d)
+            for a, b in ((xp.re, x.re), (xp.im, x.im))]
+    if ring.char:
+        diff = [part % ring.char for part in diff]
+    bad = np.argwhere((diff[0] != 0) | (diff[1] != 0))
+    if len(bad):
+        i, j, t = (int(v) for v in bad[0])
+        raise AnalysisError(f"identity fails at vector ({i},{j}) component {t}")
     return InducedStrongEquivalence(iota_embed(w.pi, w.sigma),
                                     w.row_signs.copy(), w.col_signs.copy())
 

@@ -163,29 +163,6 @@ def encode_phased_matrix_graph(sign_matrix, mode: str) -> ColoredDigraph:
     raise GraphError(f"unknown mode {mode!r}")
 
 
-def color_refine(graph: ColoredDigraph, initial: np.ndarray | None = None):
-    """Exact one-dimensional color refinement.
-
-    Returns (classes, n_classes) where classes[v] is the stable class id
-    of vertex v.  Two vertices land in the same class iff no sequence of
-    degree-signature rounds separates them.  Class ids are canonical
-    with respect to (previous class, sorted signature) order.
-    """
-    E = graph.edge_color.astype(np.int64)
-    P = E * 6 + E.T
-    cls = (graph.vertex_color if initial is None else initial).astype(np.int64)
-    ncls = len(np.unique(cls))
-    n = graph.n
-    while True:
-        rows = np.sort(cls[None, :] * _NCODES + P, axis=1)
-        keys = [(int(cls[v]), rows[v].tobytes()) for v in range(n)]
-        idmap = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = np.fromiter((idmap[k] for k in keys), dtype=np.int64, count=n)
-        if len(idmap) == ncls:
-            return cls, ncls
-        cls, ncls = new, len(idmap)
-
-
 _SPLIT1 = np.uint64(0x9E3779B97F4A7C15)
 _SPLIT2 = np.uint64(0xBF58476D1CE4E5B9)
 _SPLIT3 = np.uint64(0x94D049BB133111EB)

@@ -175,10 +175,10 @@ def _cmd_sic_scan(args) -> int:
 
 def _cmd_aut_hadamard(args) -> int:
     m = from_recipe(args.had, cap=args.cap)
-    res = hadamard_aut(m, args.strength, budget=args.budget)
-    order = res.group.order()
+    g = hadamard_aut(m, args.strength, budget=args.budget)
+    order = g.order()
     payload = {"order": str(order), "strength": args.strength,
-               "group": _group_payload(res.group)}
+               "group": _group_payload(g)}
     _emit(args, payload, f"order {order}")
     return EXIT_OK
 

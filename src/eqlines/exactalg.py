@@ -10,9 +10,9 @@ a + bi -> a - bi.  Three instances are supported:
   * ``gaussian_fraction``: the Gaussian rationals Q(i), components are
     ``fractions.Fraction``.
 
-The matrix layer provides products, and the sesquilinear Gram matrix
-(x, y) = x* y and exact rank, both on (re, im) component arrays.  Over the
-Gaussian integers rank is taken over the fraction field.
+Matrices over a ring are kept as (re, im) component arrays, on which the
+sesquilinear Gram matrix (x, y) = x* y of the rows and the exact rank are
+computed.  Over the Gaussian integers rank is taken over the fraction field.
 """
 from __future__ import annotations
 
@@ -184,14 +184,18 @@ class Ring:
 
     def _base(self, v):
         kind = self.spec.kind
-        if kind == FINITE:
-            return int(v) % self.spec.p
-        if kind == GAUSSIAN:
+        if kind == GAUSSIAN_FRACTION:
+            try:
+                return Fraction(v)
+            except (TypeError, ValueError):
+                raise RingError(f"{v!r} is not a rational component")
+        try:
             iv = int(v)
-            if iv != v:
-                raise RingError(f"{v!r} is not a Gaussian integer component")
-            return iv
-        return Fraction(v)
+        except (TypeError, ValueError):
+            iv = None
+        if iv is None or iv != v:
+            raise RingError(f"{v!r} is not an integer component")
+        return iv % self.spec.p if kind == FINITE else iv
 
     def el(self, re, im=0) -> RingElement:
         return RingElement(self._base(re), self._base(im), self)
@@ -209,80 +213,6 @@ class Ring:
         return f"Ring({self.spec})"
 
 
-def ring_make(spec: RingSpec | str) -> Ring:
-    return Ring(spec)
-
-
-class ExactMatrix:
-    """Dense matrix over one conjugation ring."""
-
-    __slots__ = ("rows", "cols", "entries", "ring")
-
-    def __init__(self, entries: Sequence[Sequence[RingElement]], ring: Ring):
-        entries = tuple(tuple(row) for row in entries)
-        if not entries or not entries[0]:
-            raise RingError("matrix dimensions must be positive")
-        cols = len(entries[0])
-        for row in entries:
-            if len(row) != cols:
-                raise RingError("ragged rows")
-            for x in row:
-                if not isinstance(x, RingElement) or x.ring.spec != ring.spec:
-                    raise RingError("ring mismatch in matrix entries")
-        self.entries = entries
-        self.rows = len(entries)
-        self.cols = cols
-        self.ring = ring
-
-    @classmethod
-    def from_scalars(cls, rows, ring: Ring) -> "ExactMatrix":
-        """Build from scalars or (re, im) pairs."""
-        out = []
-        for row in rows:
-            r = []
-            for v in row:
-                if isinstance(v, RingElement):
-                    r.append(v)
-                elif isinstance(v, tuple):
-                    r.append(ring.el(*v))
-                else:
-                    r.append(ring.el(v))
-            out.append(r)
-        return cls(out, ring)
-
-    @classmethod
-    def identity(cls, n: int, ring: Ring) -> "ExactMatrix":
-        return cls(
-            [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)],
-            ring,
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExactMatrix)
-            and self.ring.spec == other.ring.spec
-            and self.entries == other.entries
-        )
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.ring.spec != other.ring.spec or self.cols != other.rows:
-            raise RingError("matrix product shape/ring mismatch")
-        z = self.ring.zero
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return ExactMatrix(out, self.ring)
-
-
 def exact_dtype(bound: int):
     """np.int64 when no value a computation forms exceeds ``bound`` in
     absolute value, so int64 arithmetic is exact; beyond it object dtype,
@@ -290,13 +220,28 @@ def exact_dtype(bound: int):
     return np.int64 if bound < 2**63 else object
 
 
+def component_dtype(ring: Ring, shape: tuple[int, int], top: int):
+    """exact_dtype for the integer components of an m x n matrix over ring,
+    none above ``top`` in absolute value; Components.of and
+    sic.construct_sic both size their arrays by it.  A Gram entry sums
+    k = 2 max(m, n) products of components.  Over GF(p^2) components are
+    reduced, so top is p - 1 whatever is given, and a reduced entry's norm
+    and an elimination update stay below 4 (p - 1)^2; in char 0 a norm is
+    <= 2 (k top^2)^2."""
+    k = 2 * max(shape)
+    if ring.char:
+        return exact_dtype(max(k, 4) * (ring.char - 1) ** 2)
+    return exact_dtype(2 * (k * top ** 2) ** 2)
+
+
 @dataclass(frozen=True)
 class Components:
     """(re, im) component arrays of a matrix over one ring: the one form in
-    which Gram matrices and ranks are computed, for every ring.  They are
-    residues in [0, p) over GF(p^2), integers in characteristic 0, or
-    Fractions when some Q(i) entry is not integral; integers are int64 where
-    exact_dtype admits the bound in ``of``, else Python integers."""
+    which matrices are stored and Gram matrices and ranks computed, for every
+    ring.  They are residues in [0, p) over GF(p^2), integers in
+    characteristic 0, or Fractions when some Q(i) entry is not integral;
+    integers are int64 where component_dtype admits them, else Python
+    integers."""
 
     re: np.ndarray
     im: np.ndarray
@@ -306,18 +251,11 @@ class Components:
     def of(cls, rows: Sequence[Sequence[RingElement]], ring: Ring) -> "Components":
         re = [[x.re for x in row] for row in rows]
         im = [[x.im for x in row] for row in rows]
-        # A Gram entry sums k products of components of size <= top.  Over
-        # GF(p^2) (top = p - 1) a reduced entry's norm and an elimination
-        # update stay below 4 top^2; in char 0 a norm is <= 2 (k top^2)^2.
-        k = 2 * max(len(re), len(re[0]))
-        if ring.char:
-            dtype = exact_dtype(max(k, 4) * (ring.char - 1) ** 2)
-        else:
-            flat = [v for part in (re, im) for row in part for v in row]
-            dtype = object
-            if all(v.denominator == 1 for v in flat):
-                re, im = ([[int(v) for v in row] for row in part] for part in (re, im))
-                dtype = exact_dtype(2 * (k * int(max(map(abs, flat))) ** 2) ** 2)
+        flat = [v for part in (re, im) for row in part for v in row]
+        if not all(v.denominator == 1 for v in flat):
+            return cls(np.array(re, dtype=object), np.array(im, dtype=object), ring)
+        dtype = component_dtype(ring, (len(re), len(re[0])), int(max(map(abs, flat))))
+        re, im = ([[int(v) for v in row] for row in part] for part in (re, im))
         return cls(np.array(re, dtype=dtype), np.array(im, dtype=dtype), ring)
 
     @property
@@ -338,15 +276,7 @@ class Components:
         return gre, gim
 
 
-def mat_gram(V: ExactMatrix) -> ExactMatrix:
-    """Gram matrix G[a][b] = (col_a, col_b) = (col_a)* col_b."""
-    ring = V.ring
-    gre, gim = Components.of(V.entries, ring).T.gram()
-    rows = zip(gre.tolist(), gim.tolist())
-    return ExactMatrix([[ring.el(a, b) for a, b in zip(ra, ia)] for ra, ia in rows], ring)
-
-
-def mat_rank(V: ExactMatrix | Components) -> int:
+def mat_rank(c: Components) -> int:
     """Exact rank; over the Gaussian integers, rank over the fraction field.
 
     Integer-preserving elimination, one array update per pivot: each row
@@ -354,7 +284,6 @@ def mat_rank(V: ExactMatrix | Components) -> int:
     over GF(p^2).  Over Q(i) this is Bareiss' elimination on Python integers
     (rows scaled by the lcm of their denominators): the update is divided
     by the previous pivot, exactly, because every entry is then a minor."""
-    c = V if isinstance(V, Components) else Components.of(V.entries, V.ring)
     p = c.ring.char
     m, n = c.re.shape
     if p:
@@ -405,13 +334,14 @@ def _exact_div_gaussian(num: RingElement, den: RingElement) -> RingElement:
     return ring.el(q.re // n, q.im // n)
 
 
-def rank_fraction_free(V: ExactMatrix) -> int:
-    """Rank of a Gaussian-integer matrix by integer-preserving (Bareiss)
-    elimination; used as an independent cross-check of :func:`mat_rank`."""
-    ring = V.ring
+def rank_fraction_free(rows: Sequence[Sequence[RingElement]]) -> int:
+    """Rank of a Gaussian-integer matrix, given as rows of elements, by
+    integer-preserving (Bareiss) elimination on the elements; used as an
+    independent cross-check of :func:`mat_rank`."""
+    ring = rows[0][0].ring
     if ring.spec.kind != GAUSSIAN:
         raise RingError("fraction-free rank is defined for Gaussian integers")
-    rows = [list(row) for row in V.entries]
+    rows = [list(row) for row in rows]
     m = len(rows)
     n = len(rows[0])
     rank = 0

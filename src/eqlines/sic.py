@@ -12,7 +12,6 @@ lie in {+-4, +-4i}; we track them as exponents t with (x_u, x_v) = 4 i^t.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,10 +20,10 @@ import sympy
 
 from .exactalg import (
     Components,
-    ExactMatrix,
     Ring,
     RingElement,
     RingSpec,
+    component_dtype,
     mat_rank,
 )
 from .hadamard import (
@@ -81,7 +80,7 @@ def gram_phase_exponents(s: "SicSystem") -> np.ndarray:
     off-diagonal inner product is not 4 times a power of i."""
     ring = s.ring
     n = s.d * s.d
-    gre, gim = Components.of(s.vectors, ring).gram()
+    gre, gim = s.vectors.gram()
     t = np.full((n, n), -1, dtype=np.int8)
     for k in range(4):
         val = ring.el(4) * ring.i_power(k)
@@ -98,15 +97,15 @@ def gram_phase_exponents(s: "SicSystem") -> np.ndarray:
 class SicSystem:
     d: int
     ring: Ring
-    vectors: tuple[tuple[RingElement, ...], ...]  # row-major over (i, j)
+    vectors: Components  # row u = i d + j is x_ij; the arrays are read-only
     source: SignMatrix
-    z: RingElement
+
+    def __post_init__(self):
+        self.vectors.re.flags.writeable = False
+        self.vectors.im.flags.writeable = False
 
     def index(self, i: int, j: int) -> int:
         return i * self.d + j
-
-    def vector(self, i: int, j: int):
-        return self.vectors[self.index(i, j)]
 
     @cached_property
     def gram_phases(self) -> np.ndarray:
@@ -118,35 +117,36 @@ class SicSystem:
         matrix; see gram_phase_exponents."""
         return gram_phase_exponents(self)
 
-    def matrix(self) -> ExactMatrix:
-        """d x d^2 matrix whose columns are the vectors, in index order."""
-        cols = self.vectors
-        return ExactMatrix(
-            [[cols[u][t] for u in range(self.d * self.d)] for t in range(self.d)],
-            self.ring,
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "d": self.d,
             "ring": str(self.ring.spec),
             "source": render_sign_matrix(self.source),
-            "vectors": [[[int(x.re), int(x.im)] for x in v] for v in self.vectors],
+            "vectors": np.stack([self.vectors.re, self.vectors.im], -1).tolist(),
         }
 
     @staticmethod
     def from_json_dict(data: dict) -> "SicSystem":
-        ring = Ring(RingSpec.parse(data["ring"]))
-        source = parse_sign_matrix(data["source"])
-        vectors = tuple(
-            tuple(ring.el(re, im) for re, im in vec) for vec in data["vectors"]
-        )
-        z = ring.el(-2, -2)
-        return SicSystem(data["d"], ring, vectors, source, z)
+        """Rebuild a saved system; raises SicError (or RingError, for a bad
+        ring or a component outside it) when the data is malformed."""
+        keys = ("d", "ring", "source", "vectors")
+        if not isinstance(data, dict) or not all(k in data for k in keys):
+            raise SicError(f"a saved system needs the keys {', '.join(keys)}")
+        ring = Ring(RingSpec.parse(str(data["ring"])))
+        source = parse_sign_matrix(str(data["source"]))
+        d = source.d
+        vectors = np.array(data["vectors"], dtype=object)
+        if data["d"] != d or vectors.shape != (d * d, d, 2):
+            raise SicError(
+                f"a source of order {d} needs d = {d} and {d * d} vectors of "
+                f"{d} (re, im) pairs; got d = {data['d']!r} and shape {vectors.shape}")
+        rows = [[ring.el(re, im) for re, im in vec] for vec in vectors]
+        return SicSystem(d, ring, Components.of(rows, ring), source)
 
 
 def construct_sic(h: SignMatrix, ring: Ring | RingSpec | str) -> SicSystem:
-    """Build the d^2 vectors x_{ij} = h_j o (1 + z e_i) with provenance."""
+    """Build the d^2 vectors x_{ij} = h_j o (1 + z e_i) with provenance:
+    x_ij[t] = H[t, j], except x_ij[i] = (1 + z) H[i, j] = (-1 - 2i) H[i, j]."""
     if not isinstance(ring, Ring):
         ring = Ring(ring)
     d = h.d
@@ -162,16 +162,17 @@ def construct_sic(h: SignMatrix, ring: Ring | RingSpec | str) -> SicSystem:
         raise SicError(
             f"matrix is not Hadamard mod {ring.char}: witness {cert.failure_witness}"
         )
-    z = ring.el(-2, -2)
-    one = ring.one
-    hel = [[ring.el(v) for v in row] for row in h.entries]
-    vectors = []
-    for i in range(d):
-        zi = one + z  # multiplier on coordinate i
-        for j in range(d):
-            vec = [hel[t][j] if t != i else hel[i][j] * zi for t in range(d)]
-            vectors.append(tuple(vec))
-    return SicSystem(d, ring, tuple(vectors), h, z)
+    # components are at most 2 in absolute value before reduction
+    a = h.array.astype(component_dtype(ring, (d * d, d), 2))
+    re = np.broadcast_to(a.T, (d, d, d)).copy()  # re[i, j, t] = H[t, j]
+    im = np.zeros_like(re)
+    ii = np.arange(d)
+    re[ii, :, ii] = -a
+    im[ii, :, ii] = -2 * a
+    if ring.char:
+        re %= ring.char
+        im %= ring.char
+    return SicSystem(d, ring, Components(re.reshape(d * d, d), im.reshape(d * d, d), ring), h)
 
 
 @dataclass
@@ -187,18 +188,11 @@ class SicVerdict:
     witness: tuple | None = None
 
 
-def verify_sic(system, ring: Ring | None = None, d: int | None = None) -> SicVerdict:
-    """Check the four defining axioms on a SicSystem or a raw vector tuple,
-    exactly for every ring: one Gram matrix and one rank on the vectors'
-    exactalg.Components, int64 only where a bound proves it exact."""
-    if isinstance(system, SicSystem):
-        vectors, ring, d = system.vectors, system.ring, system.d
-    else:
-        vectors = tuple(tuple(v) for v in system)
-        if ring is None:
-            ring = vectors[0][0].ring
-        if d is None:
-            d = len(vectors[0])
+def verify_sic(s: SicSystem) -> SicVerdict:
+    """Check the four defining axioms exactly, for every ring: one Gram
+    matrix and one rank on the vectors' components, int64 only where a
+    bound proves it exact."""
+    ring, d, x = s.ring, s.d, s.vectors  # row u of x is x_u
     a_el, b_el, c_el = ring.el(A_INT), ring.el(B_INT), ring.el(C_INT)
     if (a_el * a_el) == b_el:
         raise SicError("degenerate constants: a^2 = b in this ring")
@@ -207,7 +201,6 @@ def verify_sic(system, ring: Ring | None = None, d: int | None = None) -> SicVer
     def fail(axiom, witness):
         return SicVerdict(False, a_el, b_el, c_el, failed_axiom=axiom, witness=witness)
 
-    x = Components.of(vectors, ring)  # row u is x_u
     gre, gim = x.gram()
     bad = np.flatnonzero((np.diag(gre) != a) | (np.diag(gim) != 0))
     if len(bad):

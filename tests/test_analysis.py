@@ -39,13 +39,12 @@ def d2_parts(d2):
 
 
 def test_order2_matrix_groups():
-    assert [hadamard_aut(m, "strong").group.order() for m in (H1, H2, H3)] == [1, 2, 2]
-    assert [hadamard_aut(m, "weak").group.order() for m in (H1, H2, H3)] == [4, 4, 4]
+    assert [hadamard_aut(m, "strong").order() for m in (H1, H2, H3)] == [1, 2, 2]
+    assert [hadamard_aut(m, "weak").order() for m in (H1, H2, H3)] == [4, 4, 4]
 
 
 def test_weak_pairs_split_cleanly():
-    res = hadamard_aut(H1, "weak")
-    for g in res.group.generators:
+    for g in hadamard_aut(H1, "weak").generators:
         pi, sigma = split_weak_pair(g, 2)
         assert verify_weak_matrix_identity(H1, pi, sigma) is not None
 
@@ -92,11 +91,11 @@ def test_lemma_extraction_rejects_non_automorphism(d2):
 def test_lemma_extraction_absorbs_unit_rescaling(d2):
     # multiplying one vector by i is an equivalence; the anchor omega is
     # pinned to eps, so the twist shows up in every other omega
+    from eqlines.exactalg import Components
     from eqlines.sic import SicSystem
-    vectors = [list(v) for v in d2.vectors]
-    vectors[0] = [x * d2.ring.el(0, 1) for x in vectors[0]]
-    twisted = SicSystem(d2.d, d2.ring, tuple(tuple(v) for v in vectors),
-                        d2.source, d2.z)
+    re, im = d2.vectors.re.copy(), d2.vectors.im.copy()
+    re[0], im[0] = -d2.vectors.im[0] % 3, d2.vectors.re[0]  # i (a + bi) = -b + ai
+    twisted = SicSystem(d2.d, d2.ring, Components(re, im, d2.ring), d2.source)
     cert = lemma36_extract(d2, twisted, Permutation.identity(4))
     assert cert.eps == 1 and cert.gamma == "id"
     assert cert.omega_exp[0] == 0
@@ -154,6 +153,37 @@ def test_weak_equiv_rejects_bad_witness():
     )
     with pytest.raises(AnalysisError):
         weak_equiv_to_strong_sic_witness(sylvester(3), sylvester(3), w, Ring("gauss"))
+
+
+@pytest.mark.parametrize("ring", ["gauss", "gf:7"])
+def test_weak_equiv_names_failing_component(monkeypatch, ring):
+    """A valid witness, but two components of the target system are
+    changed: the error names the first of them in (i, j, t) order."""
+    import eqlines.analysis as analysis
+    from eqlines.exactalg import Components
+    from eqlines.sic import SicSystem
+
+    rng = np.random.default_rng(5)
+    h = sylvester(3)
+    w = EquivalenceWitness(Permutation(rng.permutation(8)), Permutation(rng.permutation(8)),
+                           rng.choice([1, -1], size=8), rng.choice([1, -1], size=8))
+    hp = w.apply(h)
+    i, j, t = 2, 5, 6  # before (6, 1, 0), which is changed too
+    construct = analysis.construct_sic
+
+    def tampered(m, r):
+        s = construct(m, r)
+        if m is not hp:
+            return s
+        re, im = s.vectors.re.copy(), s.vectors.im.copy()
+        for a, b, c in [(6, 1, 0), (i, j, t)]:
+            im[int(w.pi.img[a]) * 8 + int(w.sigma.img[b]), int(w.pi.img[c])] += 1
+        return SicSystem(s.d, s.ring, Components(re, im, s.ring), s.source)
+
+    weak_equiv_to_strong_sic_witness(h, hp, w, Ring(ring))
+    monkeypatch.setattr(analysis, "construct_sic", tampered)
+    with pytest.raises(AnalysisError, match=rf"at vector \({i},{j}\) component {t}$"):
+        weak_equiv_to_strong_sic_witness(h, hp, w, Ring(ring))
 
 
 def test_sandwich_sylvester1():

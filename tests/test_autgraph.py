@@ -11,7 +11,6 @@ from eqlines.autgraph import (
     _group_classes,
     _mix,
     _Search,
-    color_refine,
     encode_phased_matrix_graph,
     encode_sic_graph,
     find_isomorphism,
@@ -41,15 +40,19 @@ def _cycle_graph(n):
     return ColoredDigraph(n, np.zeros(n, dtype=np.int64), e, 1)
 
 
-def test_color_refine_separates_path_ends():
-    cls, ncls = color_refine(_path_graph(5))
+def _root_classes(g):
+    """Class count of the search's own refinement of g at the root."""
+    s = _Search(g, g.edge_color, g.vertex_color, 1, "root refinement")
+    return s._refine(None, s.rootB)[0].ncls
+
+
+def test_root_refinement_separates_path_ends():
     # a directed path is completely rigid under refinement
-    assert ncls == 5
+    assert _root_classes(_path_graph(5)) == 5
 
 
-def test_color_refine_cycle_stays_uniform():
-    cls, ncls = color_refine(_cycle_graph(6))
-    assert ncls == 1
+def test_root_refinement_cycle_stays_uniform():
+    assert _root_classes(_cycle_graph(6)) == 1
 
 
 def test_path_graph_is_asymmetric():
@@ -274,7 +277,7 @@ def test_find_isomorphism_needs_search_to_reject():
             for v in tri:
                 if u != v:
                     e[u, v] = 2
-    assert color_refine(hexagon)[1] == 1
+    assert _root_classes(hexagon) == 1
     assert find_isomorphism(hexagon, e, hexagon.vertex_color) is None
 
 
@@ -324,7 +327,7 @@ def _bicirculant():
 
 def test_bicirculant_group():
     g = _bicirculant()
-    assert color_refine(g)[1] == 1
+    assert _root_classes(g) == 1
     assert graph_automorphisms(g).order() == 6
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -195,3 +196,37 @@ def test_group_commands_verify_before_searching(capsys, monkeypatch, argv):
     blob = json.loads(out)
     assert blob["passed"] is False and blob["failed_axiom"] == "b"
     assert blob["witness"] == [0, 1]
+
+
+def _with(key, value):
+    return lambda blob: blob.__setitem__(key, value)
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda blob: blob["vectors"][0][1].__setitem__(0, 2.5), "2.5 is not an integer component"),
+    (_with("vectors", []), "shape (0,)"),
+    (lambda blob: blob.pop("source"), "needs the keys d, ring, source, vectors"),
+    (_with("d", 3), "got d = 3"),
+], ids=["fractional component", "no vectors", "no source", "wrong d"])
+def test_sic_verify_rejects_malformed_file(capsys, tmp_path, change, message):
+    path = tmp_path / "sic.json"
+    run(capsys, "sic", "build", "--had", "sylvester:1", "--ring", "gf:3", "--out", str(path))
+    blob = json.loads(path.read_text())
+    change(blob)
+    path.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "sic", "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+# SHA-256 of the exact stdout of `sic build --json`, as first recorded
+@pytest.mark.parametrize("recipe,ring,digest", [
+    ("sylvester:1", "gf:3", "fc16c58b70c23be1bba8ae6c88f5cbf9220ff94ffa6d425e2ca5c1770a586f62"),
+    ("sylvester:3", "gaussq", "6a5d45dff0732ecbd7085c87d3cd372ed993091a868037868b10492e294aa8f4"),
+    ("sylvester:3", "gf:2305843009213693951",
+     "fbea79d9c89f04c02091382d6120d2d4aff1e405048a2f7912e43a4810a8be51"),
+])
+def test_sic_build_output_bytes(capsys, recipe, ring, digest):
+    code, out, _ = run(capsys, "sic", "build", "--had", recipe, "--ring", ring, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

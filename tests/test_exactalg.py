@@ -5,14 +5,11 @@ from hypothesis import strategies as st
 
 from eqlines.exactalg import (
     Components,
-    ExactMatrix,
     Ring,
     RingError,
     RingSpec,
-    mat_gram,
     mat_rank,
     rank_fraction_free,
-    ring_make,
 )
 from eqlines.hadamard import from_recipe
 from eqlines.sic import construct_sic
@@ -66,7 +63,7 @@ def test_gaussian_integer_arithmetic():
 
 
 def test_gaussian_fraction_division():
-    r = ring_make("gaussq")
+    r = Ring("gaussq")
     x = r.el(3, 1) / r.el(1, 2)
     assert x * r.el(1, 2) == r.el(3, 1)
 
@@ -82,36 +79,36 @@ def test_pow_matches_repeated_multiplication():
 
 def test_i_power_cycle():
     for spec in ["gf:3", "gauss"]:
-        r = ring_make(spec)
+        r = Ring(spec)
         assert [r.i_power(t) for t in range(4)] == [r.one, r.i, -r.one, -r.i]
         assert r.i_power(6) == -r.one
 
 
+def _scalars(rows, r):
+    return Components.of([[r.el(v) for v in row] for row in rows], r)
+
+
 def test_matrix_product_and_gram():
     r = Ring("gf:3")
-    m = ExactMatrix.from_scalars([[1, 2], [0, 1]], r)
-    ident = ExactMatrix.identity(2, r)
-    assert m @ ident == m
-    g = mat_gram(m)
+    ident = _scalars([[1, 0], [0, 1]], r)
+    assert [a.tolist() for a in ident.T.gram()] == [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]
+    gre, gim = _scalars([[1, 2], [0, 1]], r).T.gram()
     # gram of a real matrix: entries are plain dot products mod 3
-    assert g[0, 0] == r.el(1)
-    assert g[1, 1] == r.el(2)
+    assert (gre[0, 0], gim[0, 0]) == (1, 0)
+    assert (gre[1, 1], gim[1, 1]) == (2, 0)
 
 
 def test_gram_conjugates_first_argument():
     r = Ring("gauss")
-    v = ExactMatrix([[r.el(0, 1)], [r.el(1, 0)]], r)
-    g = mat_gram(v)
+    gre, gim = Components.of([[r.el(0, 1)], [r.el(1, 0)]], r).T.gram()
     # (i,1).(i,1) with conjugation = (-i)(i) + 1 = 2
-    assert g[0, 0] == r.el(2)
+    assert (gre[0, 0], gim[0, 0]) == (2, 0)
 
 
 def test_rank_finite():
     r = Ring("gf:3")
-    m = ExactMatrix.from_scalars([[1, 2, 0], [0, 1, 1], [1, 0, 1]], r)
-    assert mat_rank(m) == 2
-    full = ExactMatrix.from_scalars([[1, 0, 0], [0, 1, 0], [0, 0, 2]], r)
-    assert mat_rank(full) == 3
+    assert mat_rank(_scalars([[1, 2, 0], [0, 1, 1], [1, 0, 1]], r)) == 2
+    assert mat_rank(_scalars([[1, 0, 0], [0, 1, 0], [0, 0, 2]], r)) == 3
 
 
 def test_rank_gaussian_two_methods_agree():
@@ -121,8 +118,7 @@ def test_rank_gaussian_two_methods_agree():
         [r.el(2, 2), r.el(4, 0), r.el(0, 6)],
         [r.el(0, 1), r.el(1, 1), r.el(3, 0)],
     ]
-    m = ExactMatrix(rows, r)
-    assert mat_rank(m) == rank_fraction_free(m) == 2
+    assert mat_rank(Components.of(rows, r)) == rank_fraction_free(rows) == 2
     # non-real, non-unit pivots, and a last row that is a combination of
     # three others: each division by the previous pivot must be exact
     rows = [[r.el(*c) for c in row] for row in [
@@ -132,8 +128,7 @@ def test_rank_gaussian_two_methods_agree():
     ]]
     c = [r.el(1, 1), r.el(-2), r.el(0, 1)]
     rows.append([c[0] * x + c[1] * y + c[2] * z for x, y, z in zip(*rows)])
-    m = ExactMatrix(rows, r)
-    assert mat_rank(m) == rank_fraction_free(m) == 3
+    assert mat_rank(Components.of(rows, r)) == rank_fraction_free(rows) == 3
 
 
 def test_mod3_wraparound():
@@ -185,8 +180,7 @@ def _matrices(draw, lo, hi, rows=3, cols=4):
 
 
 def _exact(re, im, ring):
-    return ExactMatrix([[ring.el(int(a), int(b)) for a, b in zip(r, i)]
-                        for r, i in zip(re, im)], ring)
+    return [[ring.el(int(a), int(b)) for a, b in zip(r, i)] for r, i in zip(re, im)]
 
 
 @pytest.mark.parametrize("p", [3, 7, 11])
@@ -194,20 +188,23 @@ def _exact(re, im, ring):
 @given(data=st.data())
 def test_rank_finite_matches_span_count(p, data):
     re, im = data.draw(_matrices(0, p - 1))
-    assert mat_rank(_exact(re, im, Ring(f"gf:{p}"))) == _span_rank(re % p, im % p, p)
+    ring = Ring(f"gf:{p}")
+    assert mat_rank(Components.of(_exact(re, im, ring), ring)) == _span_rank(re % p, im % p, p)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_matrices(-4, 4, rows=4, cols=5), st.integers(1, 6))
 def test_rank_gaussian_matches_fraction_free(mat, den):
     re, im = mat
-    m = _exact(re, im, Ring("gauss"))
-    assert mat_rank(m) == rank_fraction_free(m)
+    r = Ring("gauss")
+    rows = _exact(re, im, r)
+    rank = mat_rank(Components.of(rows, r))
+    assert rank == rank_fraction_free(rows)
     # over Q(i), dividing the first row by den changes no rank
     q = Ring("gaussq")
-    rows = [list(row) for row in _exact(re, im, q).entries]
+    rows = _exact(re, im, q)
     rows[0] = [x / q.el(den) for x in rows[0]]
-    assert mat_rank(ExactMatrix(rows, q)) == mat_rank(m)
+    assert mat_rank(Components.of(rows, q)) == rank
 
 
 @pytest.mark.parametrize("recipe,ring", [
@@ -216,11 +213,11 @@ def test_rank_gaussian_matches_fraction_free(mat, den):
 ])
 def test_rank_of_constructions(recipe, ring):
     s = construct_sic(from_recipe(recipe), Ring(ring))
-    m = s.matrix()
+    m = s.vectors.T  # row t holds coordinate t of every vector
     assert mat_rank(m) == s.d
-    rows = [list(row) for row in m.entries]
-    rows[3] = rows[1]
-    assert mat_rank(ExactMatrix(rows, m.ring)) == s.d - 1
+    re, im = m.re.copy(), m.im.copy()
+    re[3], im[3] = re[1], im[1]
+    assert mat_rank(Components(re, im, m.ring)) == s.d - 1
 
 
 def test_component_dtype_in_characteristic_zero():

@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from eqlines.exactalg import Components, Ring, exact_dtype
-from eqlines.hadamard import SignMatrix, paley, sylvester
+from eqlines.hadamard import SignMatrix, from_recipe, paley, sylvester
 from eqlines.sic import (
     SicError,
     SicSystem,
@@ -27,11 +27,36 @@ def d2_sic():
     return construct_sic(sylvester(1), Ring("gf:3"))
 
 
+def _pairs(s):
+    """The vectors as lists of (re, im) component pairs."""
+    return [list(zip(re, im)) for re, im in zip(s.vectors.re.tolist(), s.vectors.im.tolist())]
+
+
+def _element(s, u, t):
+    return s.ring.el(s.vectors.re[u, t], s.vectors.im[u, t])
+
+
 def test_d2_vectors_match_known_values(d2_sic):
     # columns (2+i, 1), (2+i, 2), (1, 2+i), (1, 1+2i) in GF(9)
     want = [[(2, 1), (1, 0)], [(2, 1), (2, 0)], [(1, 0), (2, 1)], [(1, 0), (1, 2)]]
-    got = [[(v.re, v.im) for v in vec] for vec in d2_sic.vectors]
-    assert got == want
+    assert _pairs(d2_sic) == want
+
+
+@pytest.mark.parametrize("recipe,ring", [
+    ("sylvester:3", "gauss"), ("sylvester:3", "gaussq"), ("paley1:7", "gf:7"),
+    ("sylvester:3", "gf:2305843009213693951"),
+])
+def test_construct_matches_elementwise_formula(recipe, ring):
+    """construct_sic's arrays are x_ij[t] = H[t, j], times 1 + z at t = i,
+    formed element by element in the ring and stored by Components.of."""
+    h, r = from_recipe(recipe), Ring(ring)
+    s = construct_sic(h, r)
+    d, one_z = h.d, r.one + r.el(-2, -2)
+    rows = [[r.el(h.entries[t][j]) * (one_z if t == i else r.one) for t in range(d)]
+            for i in range(d) for j in range(d)]
+    want = Components.of(rows, r)
+    for a, b in [(s.vectors.re, want.re), (s.vectors.im, want.im)]:
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_d2_constants_reduce(d2_sic):
@@ -42,10 +67,9 @@ def test_d2_constants_reduce(d2_sic):
 
 
 def test_verify_rejects_tampering(d2_sic):
-    vectors = [list(vec) for vec in d2_sic.vectors]
-    vectors[0][0] = vectors[0][0] + d2_sic.ring.one
-    bad = SicSystem(d2_sic.d, d2_sic.ring, tuple(tuple(v) for v in vectors),
-                    d2_sic.source, d2_sic.z)
+    with pytest.raises(ValueError):  # the stored arrays are read-only
+        d2_sic.vectors.re[0, 0] = 0
+    bad = _tampered(d2_sic, 0, 0, lambda x: x + d2_sic.ring.one)
     assert not verify_sic(bad).passed
 
 
@@ -79,7 +103,7 @@ def test_closed_form_agrees_with_inner_products():
                 continue
             acc = ring.zero
             for t in range(d):
-                acc = acc + s.vectors[u][t].conj() * s.vectors[w][t]
+                acc = acc + _element(s, u, t).conj() * _element(s, w, t)
             assert acc == gram_closed_form(h, ring, (u // d, u % d), (w // d, w % d))
 
 
@@ -127,18 +151,25 @@ def test_triple_product_consistency(d2_sic):
     def inner(a, b):
         acc = ring.zero
         for t in range(s.d):
-            acc = acc + s.vectors[a][t].conj() * s.vectors[b][t]
+            acc = acc + _element(s, a, t).conj() * _element(s, b, t)
         return acc
     assert triple_product(s, u, v, w) == inner(u, v) * inner(v, w) * inner(w, u)
     with pytest.raises(SicError):
         triple_product(s, 0, 0, 1)
 
 
-def test_json_roundtrip(d2_sic):
-    blob = json.dumps(d2_sic.to_json_dict())
+@pytest.mark.parametrize("recipe,ring", [
+    ("sylvester:1", "gf:3"), ("sylvester:3", "gauss"), ("sylvester:3", "gaussq"),
+    ("sylvester:3", "gf:2305843009213693951"),
+])
+def test_json_roundtrip(recipe, ring):
+    s = construct_sic(from_recipe(recipe), Ring(ring))
+    blob = json.dumps(s.to_json_dict())
     again = SicSystem.from_json_dict(json.loads(blob))
-    assert again.d == d2_sic.d
-    assert again.vectors == d2_sic.vectors
+    assert again.d == s.d
+    for a, b in [(again.vectors.re, s.vectors.re), (again.vectors.im, s.vectors.im)]:
+        assert a.dtype == b.dtype == (object if ring.startswith("gf:2305") else np.int64)
+        assert np.array_equal(a, b)
     assert verify_sic(again).passed
 
 
@@ -164,7 +195,7 @@ def test_constructible_orders_contains_classics():
 
 def test_rank_axiom(d2_sic):
     from eqlines.exactalg import mat_rank
-    assert mat_rank(d2_sic.matrix()) == d2_sic.d
+    assert mat_rank(d2_sic.vectors) == d2_sic.d
 
 
 # d = 8 over GF(p^2) for primes past the int64 bound, where int64 Gram sums
@@ -173,9 +204,11 @@ LARGE_PRIMES = [506166779, 2147483647, 2305843009213693951]
 
 
 def _tampered(s, u, t, change):
-    vectors = [list(v) for v in s.vectors]
-    vectors[u][t] = change(vectors[u][t])
-    return SicSystem(s.d, s.ring, tuple(tuple(v) for v in vectors), s.source, s.z)
+    """A copy of s with component t of x_u replaced by change(x_u[t])."""
+    re, im = s.vectors.re.copy(), s.vectors.im.copy()
+    x = change(_element(s, u, t))
+    re[u, t], im[u, t] = x.re, x.im
+    return SicSystem(s.d, s.ring, Components(re, im, s.ring), s.source)
 
 
 @pytest.mark.parametrize("p", LARGE_PRIMES)
@@ -208,6 +241,8 @@ def test_component_dtype_threshold():
     below, above = _prime_3mod4(2**28, -1), _prime_3mod4(2**28, 1)
     for p, dtype in [(below, np.int64), (above, object)]:
         s = construct_sic(sylvester(3), Ring(f"gf:{p}"))
-        assert Components.of(s.vectors, s.ring).re.dtype == dtype
+        assert s.vectors.re.dtype == s.vectors.im.dtype == dtype
+        rows = [[_element(s, u, t) for t in range(s.d)] for u in range(s.d ** 2)]
+        assert Components.of(rows, s.ring).re.dtype == dtype
         assert verify_sic(s).passed
         assert not verify_sic(_tampered(s, 0, 0, lambda x: x + s.ring.one)).passed
