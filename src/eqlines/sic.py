@@ -172,7 +172,8 @@ def construct_sic(h: SignMatrix, ring: Ring | RingSpec | str) -> SicSystem:
     if ring.char:
         re %= ring.char
         im %= ring.char
-    return SicSystem(d, ring, Components(re.reshape(d * d, d), im.reshape(d * d, d), ring), h)
+    vectors = Components(re.reshape(d * d, d), im.reshape(d * d, d), ring)
+    return SicSystem(d, ring, vectors, h)
 
 
 @dataclass

@@ -198,15 +198,11 @@ def test_group_commands_verify_before_searching(capsys, monkeypatch, argv):
     assert blob["witness"] == [0, 1]
 
 
-def _with(key, value):
-    return lambda blob: blob.__setitem__(key, value)
-
-
 @pytest.mark.parametrize("change,message", [
-    (lambda blob: blob["vectors"][0][1].__setitem__(0, 2.5), "2.5 is not an integer component"),
-    (_with("vectors", []), "shape (0,)"),
+    (lambda blob: blob["vectors"][0][1].__setitem__(0, 2.5), "2.5 is not an integer"),
+    (lambda blob: blob.update(vectors=[]), "shape (0,)"),
     (lambda blob: blob.pop("source"), "needs the keys d, ring, source, vectors"),
-    (_with("d", 3), "got d = 3"),
+    (lambda blob: blob.update(d=3), "got d = 3"),
 ], ids=["fractional component", "no vectors", "no source", "wrong d"])
 def test_sic_verify_rejects_malformed_file(capsys, tmp_path, change, message):
     path = tmp_path / "sic.json"
