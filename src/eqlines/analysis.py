@@ -107,6 +107,29 @@ class EquivalenceWitness:
     row_signs: np.ndarray
     col_signs: np.ndarray
 
+    @staticmethod
+    def from_json_dict(data, d: int) -> "EquivalenceWitness":
+        """Read a saved witness between matrices of order d; raises
+        AnalysisError when the data is malformed."""
+        keys = ("pi", "sigma", "row_signs", "col_signs")
+        if not isinstance(data, dict) or not all(k in data for k in keys):
+            raise AnalysisError(f"a witness needs the keys {', '.join(keys)}")
+        for k in keys:
+            v = data[k]
+            if not (isinstance(v, list) and len(v) == d
+                    and all(type(x) is int for x in v)):
+                raise AnalysisError(f"witness {k} must be a list of {d} integers")
+        for k in ("pi", "sigma"):
+            if sorted(data[k]) != list(range(d)):
+                raise AnalysisError(f"witness {k} is not a permutation of 0..{d - 1}")
+        for k in ("row_signs", "col_signs"):
+            if not set(data[k]) <= {1, -1}:
+                raise AnalysisError(f"witness {k} has entries other than 1 and -1")
+        return EquivalenceWitness(
+            Permutation(data["pi"]), Permutation(data["sigma"]),
+            np.array(data["row_signs"], dtype=np.int64),
+            np.array(data["col_signs"], dtype=np.int64))
+
     def check(self, source: SignMatrix, target: SignMatrix):
         """First violated (i, j) or None."""
         s, t = source.array.astype(np.int64), target.array.astype(np.int64)

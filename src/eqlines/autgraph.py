@@ -16,9 +16,15 @@ reproducible.
 Only the second graph's side of the search branches: the first graph
 always individualizes the first vertex of its target cell, so its
 partition is a function of the depth.  It is refined once per depth,
-and every node refines the second graph alone against the cached
-rounds.  On the first path, candidates are pruned by an orbit closure
-that is kept up to date as candidates are tried and generators found.
+and the second graph is refined against the cached rounds for all the
+children of a node together: their partitions are the rows of one class
+matrix, each round is one matrix product, and a row leaves the batch
+when it stops matching (the "vertex invariant over a whole cell" of
+McKay and Piperno, "Practical graph isomorphism, II", 2014).  The first
+child of a node is refined alone, and the batch is built only when the
+search moves past it.  On the first path, candidates are refined one by
+one and pruned by an orbit closure that is kept up to date as
+candidates are tried and generators found.
 """
 from __future__ import annotations
 
@@ -192,11 +198,43 @@ def _group_classes(cls: np.ndarray, sig: np.ndarray):
     return new, (c[head], s[head]), counts
 
 
+class _Round:
+    """One refinement round of the fixed side, from the (class, signature)
+    boundary keys and class sizes that _group_classes gave A: a table that
+    looks B's (class, signature) pairs up among A's keys.
+
+    A's keys are sorted and distinct, so code(c, s) = c * m + (rank of s
+    among the m distinct signatures of the round) is strictly increasing
+    along them and exact in int64.  A partition of B matches the round iff
+    every pair of B is among A's keys and hits each key as often as A
+    does; its new class ids are then the key indices, the compact ids
+    _group_classes would give it."""
+
+    def __init__(self, keys, counts):
+        self.counts = counts
+        self.sigs = np.unique(keys[1])
+        self.codes = keys[0] * self.sigs.size + np.searchsorted(self.sigs, keys[1])
+
+    def match(self, X, S):
+        """Rows of B partitions X (k x n) with signatures S: (mask of the
+        rows that match, their new class ids)."""
+        j = np.searchsorted(self.sigs, S)
+        hit = self.sigs[np.minimum(j, self.sigs.size - 1)] == S
+        code = X * self.sigs.size + j
+        t = np.minimum(np.searchsorted(self.codes, code), self.codes.size - 1)
+        hit &= self.codes[t] == code
+        ok = hit.all(axis=1)
+        k, m = t.shape[0], self.counts.size
+        hits = np.bincount((t + m * np.arange(k)[:, None]).ravel(), minlength=k * m)
+        ok &= (hits.reshape(k, m) == self.counts).all(axis=1)
+        return ok, t
+
+
 @dataclass
 class _Level:
-    """The fixed side's state at one search depth: the (boundary keys,
-    counts) of each refinement round, the stable partition, and, above
-    the leaves, the target cell and the vertex b individualized in it."""
+    """The fixed side's state at one search depth: its refinement rounds,
+    the stable partition, and, above the leaves, the target cell and the
+    vertex b individualized in it."""
 
     depth: int
     rounds: list
@@ -206,14 +244,24 @@ class _Level:
     b: int = -1
 
 
+# largest number of entries (children x vertices) refined in one batch; it
+# bounds the batch's arrays, and the refinements wasted when a child early
+# in the batch leads to a result, on graphs of thousands of vertices
+_BATCH_ENTRIES = 1 << 14
+
+
 class _Search:
     """Individualization-refinement over a pair of colored digraphs.
 
     Graph A is the fixed side: at every node it individualizes b, the
     first vertex of its target cell, so A's partition and refinement
     rounds depend on the depth alone.  They are computed once per depth,
-    the first time the depth is reached, and each later node refines
-    only B, comparing it round by round against A's cached rounds."""
+    the first time the depth is reached.  B is refined for several
+    siblings at once: the children of a node are stacked as rows of one
+    class matrix, each round is one matrix product over the rows still
+    alive, and a row is dropped as soon as it stops matching A's cached
+    round.  Every child still gets exactly the partition a refinement of
+    its own would give it, and is ticked and searched in the same order."""
 
     def __init__(self, ga: ColoredDigraph, eb: np.ndarray, vcolb: np.ndarray,
                  budget: int, name: str):
@@ -229,9 +277,11 @@ class _Search:
         self.EB, self.vcolB = eb, vcolb
         self.MA = redge[ea * 6 + ea.T]
         self.MB = self.MA if eb is ga.edge_color else redge[ebi * 6 + ebi.T]
-        self.rootA = ga.vertex_color.astype(np.int64)
-        self.rootB = vcolb.astype(np.int64)
-        self.root_ncls = len(np.unique(np.concatenate([self.rootA, self.rootB])))
+        # vertex colors as compact class ids (an order-preserving relabeling)
+        colors = np.concatenate([ga.vertex_color, vcolb]).astype(np.int64)
+        _, root = np.unique(colors, return_inverse=True)
+        self.rootA, self.rootB = root[:self.n], root[self.n:]
+        self.root_ncls = int(root.max(initial=-1)) + 1
         self.levels: list[_Level] = []
         self.gens: list[np.ndarray] = []
 
@@ -252,31 +302,78 @@ class _Search:
         c = int(live[np.argmin(counts[live])])
         return _Level(depth, rounds, cls, ncls, c, int(np.flatnonzero(cls == c)[0]))
 
-    def _refine(self, up: _Level | None, clsB):
-        """Refine B in the child of ``up``; returns (A's level, B's
-        partition), or None if the partitions stop matching.  A's rounds
-        are computed here on the first visit to the child's depth."""
+    def _fixed_level(self, up: _Level | None) -> _Level:
+        """A's level in the children of ``up``, refined on the first visit
+        to their depth."""
         depth = 0 if up is None else up.depth + 1
         if depth == len(self.levels):
             clsA, ncls = self._fixed_input(up)
             rounds = []
             while True:
                 clsA, keys, counts = _group_classes(clsA, self.MA @ _mix(clsA))
-                rounds.append((keys, counts))
+                rounds.append(_Round(keys, counts))
                 if counts.size == ncls:
                     break
                 ncls = counts.size
             self.levels.append(self._level(up, rounds, clsA, ncls))
-        level = self.levels[depth]
-        for keys, counts in level.rounds:
-            newB, keysB, countsB = _group_classes(clsB, self.MB @ _mix(clsB))
-            if (counts.size != countsB.size
-                    or not np.array_equal(keys[0], keysB[0])
-                    or not np.array_equal(keys[1], keysB[1])
-                    or not np.array_equal(counts, countsB)):
-                return None
-            clsB = newB
-        return level, clsB
+        return self.levels[depth]
+
+    def _refine_rows(self, level: _Level, X, S):
+        """Refine the B partitions in the rows of X against the level's
+        rounds; S holds their first-round signatures.  Returns the indices
+        of the rows that match every round and their stable partitions."""
+        alive = np.arange(len(X))
+        for r, rnd in enumerate(level.rounds):
+            if r:
+                S = (self.MB @ _mix(X).T).T
+            ok, X = rnd.match(X, S)
+            alive, X = alive[ok], X[ok]
+            if not alive.size:
+                break
+        return alive, X
+
+    def _refine(self, up, clsB):
+        """Refine B alone in the child of ``up`` (the root when None):
+        (A's level, B's partition), or None if the partitions stop
+        matching."""
+        level = self._fixed_level(up)
+        alive, X = self._refine_rows(level, clsB[None, :], (self.MB @ _mix(clsB))[None, :])
+        return (level, X[0]) if alive.size else None
+
+    def _refine_siblings(self, up: _Level, clsB, sig, ws):
+        """Refine B in the children of ``up`` that individualize each w of
+        ws (all in up's target cell) in one batched pass; clsB is B's
+        partition at up and sig its signature MB @ _mix(clsB).  Returns,
+        per w, (A's level, B's partition) or None."""
+        level = self._fixed_level(up)
+        k = len(ws)
+        X = np.repeat(clsB[None, :], k, axis=0)
+        X[np.arange(k), ws] = up.ncls
+        # a child differs from clsB in entry w alone, so its first signature
+        # is a rank-1 update of sig, exact in wrapping uint64
+        delta = np.diff(_mix(np.array([up.cell, up.ncls])))
+        S = sig[None, :] + self.MB[:, ws].T * delta
+        alive, X = self._refine_rows(level, X, S)
+        out = [None] * k
+        for i, x in zip(alive, X):
+            out[i] = (level, x)
+        return out
+
+    def _children(self, level: _Level, clsB, ws):
+        """Tick and yield the refined children of a node for the candidates
+        ws, in order (None for a child that fails refinement).  The first
+        child is refined alone, so a node whose first child leads to a
+        result pays for no batch.  The others follow in batches of at most
+        _BATCH_ENTRIES entries, each refined when the search asks for its
+        first child."""
+        sig = self.MB @ _mix(clsB)
+        step = max(1, _BATCH_ENTRIES // self.n)
+        start, stop = 0, 1
+        while start < len(ws):
+            for child in self._refine_siblings(level, clsB, sig, ws[start:stop]):
+                self._tick()
+                yield child
+            start, stop = stop, stop + step
 
     def _leaf(self, clsA, clsB):
         inv_b = np.argsort(clsB)
@@ -301,14 +398,16 @@ class _Search:
     # -- isomorphism: first full map wins ---------------------------------
     def find_isomorphism(self, up, clsB):
         self._tick()
-        state = self._refine(up, clsB)
+        return self._isomorphism(self._refine(up, clsB))
+
+    def _isomorphism(self, state):
         if state is None:
             return None
         level, clsB = state
         if level.ncls == self.n:
             return self._leaf(level.cls, clsB)
-        for w in np.flatnonzero(clsB == level.cell):
-            f = self.find_isomorphism(level, self._indiv(clsB, int(w), level.ncls))
+        for child in self._children(level, clsB, np.flatnonzero(clsB == level.cell)):
+            f = self._isomorphism(child)
             if f is not None:
                 return f
         return None
@@ -331,7 +430,9 @@ class _Search:
 
     def find_automorphisms(self, up, clsB, base, first_path):
         self._tick()
-        state = self._refine(up, clsB)
+        return self._automorphisms(self._refine(up, clsB), base, first_path)
+
+    def _automorphisms(self, state, base, first_path):
         if state is None:
             return False
         level, clsB = state
@@ -341,31 +442,32 @@ class _Search:
                 return False
             self.gens.append(f)
             return True
-        b, ncls = level.b, level.ncls
-        cands = [int(w) for w in np.flatnonzero(clsB == level.cell)]
+        b = level.b
+        cands = np.flatnonzero(clsB == level.cell)
         if not first_path:
-            for w in cands:
-                if self.find_automorphisms(level, self._indiv(clsB, w, ncls),
-                                           base + [b], False):
+            for child in self._children(level, clsB, cands):
+                if self._automorphisms(child, base + [b], False):
                     return True
             return False
         # on the first path b itself comes first, then one representative
         # per orbit of the generators found so far that fix the base;
         # reach, the union of the tried candidates' orbits, is extended
-        # from each new candidate and rebuilt only when generators are found
-        cands.sort(key=lambda w: (w != b, w))
+        # from each new candidate and rebuilt only when generators are found.
+        # Each candidate is refined alone, as the orbits change between them
+        sig = self.MB @ _mix(clsB)
         found = False
         tried: list[int] = []
         reach: set[int] = set()
         ngens = len(self.gens)
-        for w in cands:
+        for w in sorted((int(w) for w in cands), key=lambda w: (w != b, w)):
             if len(self.gens) > ngens:
                 ngens = len(self.gens)
                 reach = self._orbit(tried, base, set())
             if w in reach:
                 continue
-            if self.find_automorphisms(level, self._indiv(clsB, w, ncls),
-                                       base + [b], w == b):
+            self._tick()
+            [child] = self._refine_siblings(level, clsB, sig, [w])
+            if self._automorphisms(child, base + [b], w == b):
                 found = True
             tried.append(w)
             self._orbit([w], base, reach)

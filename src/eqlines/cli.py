@@ -11,8 +11,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .analysis import (
     AnalysisError,
     EquivalenceWitness,
@@ -31,7 +29,7 @@ from .hadamard import (
     from_recipe,
     render_sign_matrix,
 )
-from .permgroup import PermGroup, Permutation
+from .permgroup import PermGroup
 from .sic import (
     SicError,
     SicSystem,
@@ -220,14 +218,10 @@ def _cmd_sandwich(args) -> int:
 def _cmd_witness_check(args) -> int:
     source = from_recipe(args.source, cap=args.cap)
     target = from_recipe(args.target, cap=args.cap)
+    if source.d != target.d:
+        raise AnalysisError(f"source order {source.d} and target order {target.d} differ")
     with open(args.witness) as fh:
-        data = json.load(fh)
-    w = EquivalenceWitness(
-        pi=Permutation(data["pi"]),
-        sigma=Permutation(data["sigma"]),
-        row_signs=np.asarray(data["row_signs"], dtype=np.int64),
-        col_signs=np.asarray(data["col_signs"], dtype=np.int64),
-    )
+        w = EquivalenceWitness.from_json_dict(json.load(fh), source.d)
     bad = w.check(source, target)
     if bad is not None:
         raise VerificationFailure("witness identity fails",

@@ -140,8 +140,30 @@ class SicSystem:
             raise SicError(
                 f"a source of order {d} needs d = {d} and {d * d} vectors of "
                 f"{d} (re, im) pairs; got d = {data['d']!r} and shape {vectors.shape}")
-        rows = [[ring.el(re, im) for re, im in vec] for vec in vectors]
-        return SicSystem(d, ring, Components.of(rows, ring), source)
+        return SicSystem(d, ring, _saved_components(vectors, ring), source)
+
+
+def _saved_components(values: np.ndarray, ring: Ring) -> Components:
+    """The (re, im) pairs of a (rows, columns, 2) object array of saved
+    values as components over ring, checked and reduced as ring.el and
+    Components.of would do it.  Values that are all int64 integers, as
+    sic build writes them, are checked and reduced with numpy; any other
+    value sends the array through ring.el one component at a time, which
+    raises RingError at the first value that is not a component."""
+    ints = None
+    if all(type(v) is int for v in values.flat):
+        try:
+            ints = values.astype(np.int64)
+        except OverflowError:
+            pass
+    if ints is None:
+        rows = [[ring.el(re, im) for re, im in vec] for vec in values]
+        return Components.of(rows, ring)
+    if ring.char:
+        ints %= ring.char
+    top = max(int(ints.max(initial=0)), -int(ints.min(initial=0)))
+    dtype = component_dtype(ring, ints.shape[:2], top)
+    return Components(ints[..., 0].astype(dtype), ints[..., 1].astype(dtype), ring)
 
 
 def construct_sic(h: SignMatrix, ring: Ring | RingSpec | str) -> SicSystem:

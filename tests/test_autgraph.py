@@ -9,6 +9,7 @@ from eqlines.autgraph import (
     GraphError,
     Recoloring,
     _group_classes,
+    _Round,
     _mix,
     _Search,
     encode_phased_matrix_graph,
@@ -281,15 +282,52 @@ def test_find_isomorphism_needs_search_to_reject():
     assert find_isomorphism(hexagon, e, hexagon.vertex_color) is None
 
 
+def test_round_lookup_matches_group_classes():
+    # the batched refinement's lookup accepts a row of B exactly when
+    # _group_classes gives it A's keys and counts, and then gives it the
+    # same class ids; the rows are relabelings of A and every change of
+    # one class or one signature to another value
+    rng = np.random.default_rng(17)
+    n = 12
+    cls = rng.integers(0, 3, size=n)
+    sig = rng.choice(np.array([5, 9, 2 ** 63 + 1], dtype=np.uint64), size=n)
+    _, keys, counts = _group_classes(cls, sig)
+    assert keys[1].size > np.unique(keys[1]).size  # a signature in two classes
+    rows = [(cls[f], sig[f]) for f in (rng.permutation(n) for _ in range(5))]
+    for u in range(n):
+        for c in range(4):
+            x = cls.copy()
+            x[u] = c
+            rows.append((x, sig))
+        for value in (5, 7, 9, 2 ** 63 + 1):
+            s = sig.copy()
+            s[u] = value
+            rows.append((cls, s))
+    ok, ids = _Round(keys, counts).match(np.array([x for x, _ in rows]),
+                                         np.array([s for _, s in rows]))
+    assert 0 < ok.sum() < len(rows)
+    for (x, s), hit, row_ids in zip(rows, ok, ids):
+        newB, keysB, countsB = _group_classes(x, s)
+        same = (np.array_equal(countsB, counts) and np.array_equal(keysB[0], keys[0])
+                and np.array_equal(keysB[1], keys[1]))
+        assert hit == same
+        if same:
+            assert np.array_equal(row_ids, newB)
+
+
 class _Lockstep(_Search):
-    """Reference search: refines both graphs in lockstep at every node,
-    recomputing the first graph's rounds each time instead of caching
-    them per depth, and recomputes the first path's orbit closure from
-    every vertex reached so far instead of extending it."""
+    """Reference search: refines each child alone, both graphs in
+    lockstep, recomputing the first graph's rounds each time instead of
+    caching them per depth and refining siblings in batches, and
+    recomputes the first path's orbit closure from every vertex reached
+    so far instead of extending it."""
 
     def _orbit(self, seeds, base, reach):
         reach |= super()._orbit(list(reach) + list(seeds), base, set())
         return reach
+
+    def _refine_siblings(self, up, clsB, sig, ws):
+        return [self._refine(up, self._indiv(clsB, int(w), up.ncls)) for w in ws]
 
     def _refine(self, up, clsB):
         clsA, ncls = self._fixed_input(up)
@@ -343,6 +381,23 @@ def _differential_graphs():
         for mode, nodes in (("weak", (43, 1)), ("strong", (13, 1))):
             yield (f"{recipe} {mode}",
                    encode_phased_matrix_graph(from_recipe(recipe), mode), nodes)
+    # most nodes of this search are leaf candidates that fail refinement
+    yield ("paley1:19 weak", encode_phased_matrix_graph(from_recipe("paley1:19"), "weak"),
+           (3165, 1))
+
+
+def _isomorphism_runs(graph, eb, nodes):
+    """The isomorphism search onto edge colors eb, under test and by the
+    reference: both visit the given number of nodes and agree."""
+    maps = []
+    for cls in (_Search, _Lockstep):
+        s = cls(graph, eb, graph.vertex_color, 10 ** 7, "find_isomorphism")
+        maps.append((s.find_isomorphism(None, s.rootB), s.nodes))
+    assert maps[0][1] == maps[1][1] == nodes
+    assert (maps[0][0] is None) == (maps[1][0] is None)
+    if maps[0][0] is not None:
+        assert np.array_equal(maps[0][0], maps[1][0])
+    return maps[0][0]
 
 
 @pytest.mark.parametrize("name,graph,nodes", list(_differential_graphs()))
@@ -357,12 +412,11 @@ def test_cached_rounds_match_lockstep_refinement(name, graph, nodes):
     assert len(cached.gens) == len(lockstep.gens) > 0
     for a, b in zip(cached.gens, lockstep.gens):
         assert np.array_equal(a, b)
-    eb = Recoloring(1, "conj").apply(graph.edge_color)
-    maps = []
-    for cls in (_Search, _Lockstep):
-        s = cls(graph, eb, graph.vertex_color, 10 ** 7, "find_isomorphism")
-        maps.append((s.find_isomorphism(None, s.rootB), s.nodes))
-    assert maps[0][1] == maps[1][1] == nodes[1]
-    assert (maps[0][0] is None) == (maps[1][0] is None)
-    if maps[0][0] is not None:
-        assert np.array_equal(maps[0][0], maps[1][0])
+    _isomorphism_runs(graph, Recoloring(1, "conj").apply(graph.edge_color), nodes[1])
+
+
+def test_refuted_recoloring_matches_lockstep():
+    # Hoggar's phase table is not isomorphic to its negation, and every
+    # child of the root fails refinement: the search refines 256 siblings
+    g = encode_sic_graph(construct_sic(sylvester(3), Ring("gf:3")).gram_phases)
+    assert _isomorphism_runs(g, Recoloring(-1, "id").apply(g.edge_color), 257) is None

@@ -159,6 +159,40 @@ def test_witness_check_rejects(capsys, tmp_path):
     assert code == 1
 
 
+_IDENTITY_WITNESS = {"pi": [0, 1], "sigma": [0, 1], "row_signs": [1, 1], "col_signs": [1, 1]}
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda w: w.pop("col_signs"), "needs the keys pi, sigma, row_signs, col_signs"),
+    (lambda w: w.update(pi=[0]), "witness pi must be a list of 2 integers"),
+    (lambda w: w.update(sigma=[0, 1, 2]), "witness sigma must be a list of 2 integers"),
+    (lambda w: w.update(row_signs=[1]), "witness row_signs must be a list of 2 integers"),
+    (lambda w: w.update(col_signs=[1, 1.0]), "witness col_signs must be a list of 2 integers"),
+    (lambda w: w.update(pi=[1, 1]), "witness pi is not a permutation of 0..1"),
+    (lambda w: w.update(row_signs=[2, 1]), "witness row_signs has entries other than 1 and -1"),
+    (lambda w: w.update(col_signs=[1, 0]), "witness col_signs has entries other than 1 and -1"),
+], ids=["no col_signs", "short pi", "long sigma", "short row_signs", "fractional sign",
+        "pi not a bijection", "row sign 2", "column sign 0"])
+def test_witness_check_rejects_malformed_file(capsys, tmp_path, change, message):
+    wpath = tmp_path / "w.json"
+    witness = dict(_IDENTITY_WITNESS)
+    change(witness)
+    wpath.write_text(json.dumps(witness))
+    code, out, err = run(capsys, "witness", "check", "--source", "sylvester:1",
+                         "--target", "sylvester:1", "--witness", str(wpath), "--ring", "gf:3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_witness_check_rejects_order_mismatch(capsys, tmp_path):
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps(_IDENTITY_WITNESS))
+    code, out, err = run(capsys, "witness", "check", "--source", "sylvester:1",
+                         "--target", "sylvester:2", "--witness", str(wpath))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "order 2 and target order 4 differ" in err
+
+
 def test_failure_payload_goes_to_out(capsys, tmp_path):
     sic_path, out_path = tmp_path / "sic.json", tmp_path / "verdict.json"
     run(capsys, "sic", "build", "--had", "sylvester:1", "--ring", "gf:3",
@@ -226,3 +260,13 @@ def test_sic_build_output_bytes(capsys, recipe, ring, digest):
     code, out, _ = run(capsys, "sic", "build", "--had", recipe, "--ring", ring, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the exact stdout of a search command, as first recorded: a
+# changed generator list changes it
+def test_aut_hadamard_output_bytes(capsys):
+    code, out, _ = run(capsys, "aut", "hadamard", "--had", "paley1:19",
+                       "--strength", "weak", "--json")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "61861a50f06ca8abbde614b9a90b8831a74bf864d91f4a207e3cc4f23fc33a41")

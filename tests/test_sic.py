@@ -173,6 +173,20 @@ def test_json_roundtrip(recipe, ring):
     assert verify_sic(again).passed
 
 
+@pytest.mark.parametrize("shift", [-3, 3 * 10 ** 20, 3.0],
+                         ids=["negative int64", "beyond int64", "integral float"])
+def test_json_reduces_saved_components(shift):
+    # int64 values are reduced with numpy, other values one at a time by
+    # ring.el; both give the residues construct_sic gives
+    s = construct_sic(sylvester(1), Ring("gf:3"))
+    blob = s.to_json_dict()
+    blob["vectors"] = [[[re + shift, im - shift] for re, im in vec] for vec in blob["vectors"]]
+    again = SicSystem.from_json_dict(blob)
+    for a, b in [(again.vectors.re, s.vectors.re), (again.vectors.im, s.vectors.im)]:
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b)
+
+
 def test_applicable_primes():
     primes36, all36 = applicable_primes(36)
     assert primes36 == [7] and not all36
