@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autgraph import (
-    ColoredDigraph,
     Recoloring,
     encode_phased_matrix_graph,
     encode_sic_graph,
@@ -159,27 +158,20 @@ class SicAutParts:
     to a representative permutation of [d] x [d], or None when that
     coset is empty."""
 
-    system: SicSystem
-    graph: ColoredDigraph
     base_group: PermGroup
     coset_witness: dict[tuple[int, str], Permutation | None] = field(default_factory=dict)
 
-    def labels_realized(self, strength: str) -> list[tuple[int, str]]:
-        ok = [(1, "id")]
-        for label, w in self.coset_witness.items():
-            if w is None:
-                continue
-            if strength == "strong" and label[1] != "id":
-                continue
-            ok.append(label)
-        return ok
-
     def group(self, strength: str) -> PermGroup:
+        """Strong or weak automorphism group of the line system as a
+        permutation group on [d] x [d]: the base group and the witnesses
+        of the realized cosets, those with gamma = id for strong."""
+        if strength not in ("strong", "weak"):
+            raise AnalysisError(f"unknown strength {strength!r}")
         gens = list(self.base_group.generators)
-        for label in self.labels_realized(strength):
-            if label != (1, "id"):
-                gens.append(self.coset_witness[label])
-        return PermGroup(gens, self.system.d ** 2)
+        for (_, gamma), w in self.coset_witness.items():
+            if w is not None and (strength == "weak" or gamma == "id"):
+                gens.append(w)
+        return PermGroup(gens, self.base_group.n)
 
 
 def sic_aut_parts(s: SicSystem, budget: int = DEFAULT_BUDGET) -> SicAutParts:
@@ -194,7 +186,7 @@ def sic_aut_parts(s: SicSystem, budget: int = DEFAULT_BUDGET) -> SicAutParts:
     lifted = graph_automorphisms(graph, budget)
     n2 = s.d ** 2
     base = PermGroup([project_fiber(g, 4) for g in lifted.generators], n2)
-    parts = SicAutParts(s, graph, base)
+    parts = SicAutParts(base)
     labels = [(1, "conj")]
     if s.ring.char == 3:
         labels += [(-1, "id"), (-1, "conj")]
@@ -202,17 +194,6 @@ def sic_aut_parts(s: SicSystem, budget: int = DEFAULT_BUDGET) -> SicAutParts:
         f = graph_isomorphism_to_recolored(graph, Recoloring(eps, gamma), budget)
         parts.coset_witness[(eps, gamma)] = None if f is None else project_fiber(f, 4)
     return parts
-
-
-def sic_aut(s: SicSystem, strength: str, budget: int = DEFAULT_BUDGET,
-            parts: SicAutParts | None = None) -> PermGroup:
-    """Strong or weak automorphism group of the line system as a
-    permutation group on [d] x [d]."""
-    if strength not in ("strong", "weak"):
-        raise AnalysisError(f"unknown strength {strength!r}")
-    if parts is None:
-        parts = sic_aut_parts(s, budget)
-    return parts.group(strength)
 
 
 def tilde_strong_aut(h: SignMatrix, budget: int = DEFAULT_BUDGET) -> PermGroup:

@@ -22,9 +22,13 @@ matrix, each round is one matrix product, and a row leaves the batch
 when it stops matching (the "vertex invariant over a whole cell" of
 McKay and Piperno, "Practical graph isomorphism, II", 2014).  The first
 child of a node is refined alone, and the batch is built only when the
-search moves past it.  On the first path, candidates are refined one by
-one and pruned by an orbit closure that is kept up to date as
-candidates are tried and generators found.
+search moves past it.
+
+An automorphism search runs the graph against itself.  Its first path,
+where both sides individualize the same vertex, walks the first graph's
+cached levels; every subtree off it is an isomorphism search onto the
+first-path leaf.  Their roots are tried going back up the path, pruned
+by an orbit closure kept up to date as generators are found.
 """
 from __future__ import annotations
 
@@ -261,7 +265,9 @@ class _Search:
     class matrix, each round is one matrix product over the rows still
     alive, and a row is dropped as soon as it stops matching A's cached
     round.  Every child still gets exactly the partition a refinement of
-    its own would give it, and is ticked and searched in the same order."""
+    its own would give it, and is ticked and searched in the same order.
+    find_automorphisms (B is A) walks A's levels down the first path and
+    searches every subtree off it as find_isomorphism searches the tree."""
 
     def __init__(self, ga: ColoredDigraph, eb: np.ndarray, vcolb: np.ndarray,
                  budget: int, name: str):
@@ -285,29 +291,17 @@ class _Search:
         self.levels: list[_Level] = []
         self.gens: list[np.ndarray] = []
 
-    def _fixed_input(self, up: _Level | None):
-        """A's partition and class count entering the child of ``up``
-        (the root when ``up`` is None)."""
-        if up is None:
-            return self.rootA, self.root_ncls
-        return self._indiv(up.cls, up.b, up.ncls), up.ncls + 1
-
-    def _level(self, up: _Level | None, rounds, cls, ncls) -> _Level:
-        """A's level below ``up`` after the given rounds."""
-        depth = 0 if up is None else up.depth + 1
-        if ncls == self.n:
-            return _Level(depth, rounds, cls, ncls)
-        counts = np.bincount(cls, minlength=ncls)
-        live = np.flatnonzero(counts > 1)
-        c = int(live[np.argmin(counts[live])])
-        return _Level(depth, rounds, cls, ncls, c, int(np.flatnonzero(cls == c)[0]))
-
     def _fixed_level(self, up: _Level | None) -> _Level:
-        """A's level in the children of ``up``, refined on the first visit
-        to their depth."""
+        """A's level in the children of ``up`` (the root when None), refined
+        on the first visit to their depth: A individualizes up.b, refines,
+        and targets the first vertex of its smallest nontrivial class."""
         depth = 0 if up is None else up.depth + 1
         if depth == len(self.levels):
-            clsA, ncls = self._fixed_input(up)
+            if up is None:
+                clsA, ncls = self.rootA, self.root_ncls
+            else:
+                clsA, ncls = up.cls.copy(), up.ncls + 1
+                clsA[up.b] = up.ncls
             rounds = []
             while True:
                 clsA, keys, counts = _group_classes(clsA, self.MA @ _mix(clsA))
@@ -315,7 +309,12 @@ class _Search:
                 if counts.size == ncls:
                     break
                 ncls = counts.size
-            self.levels.append(self._level(up, rounds, clsA, ncls))
+            level = _Level(depth, rounds, clsA, ncls)
+            if ncls < self.n:
+                live = np.flatnonzero(counts > 1)
+                level.cell = int(live[np.argmin(counts[live])])
+                level.b = int(np.flatnonzero(clsA == level.cell)[0])
+            self.levels.append(level)
         return self.levels[depth]
 
     def _refine_rows(self, level: _Level, X, S):
@@ -332,11 +331,11 @@ class _Search:
                 break
         return alive, X
 
-    def _refine(self, up, clsB):
-        """Refine B alone in the child of ``up`` (the root when None):
-        (A's level, B's partition), or None if the partitions stop
-        matching."""
-        level = self._fixed_level(up)
+    def _refine(self):
+        """Refine B at the root: (A's root level, B's partition), or None
+        if the partitions stop matching."""
+        level = self._fixed_level(None)
+        clsB = self.rootB
         alive, X = self._refine_rows(level, clsB[None, :], (self.MB @ _mix(clsB))[None, :])
         return (level, X[0]) if alive.size else None
 
@@ -389,16 +388,10 @@ class _Search:
                 f"{self.name} exceeded its budget of {self.budget} search nodes "
                 f"on a {self.n}-vertex graph after {self.nodes} nodes")
 
-    @staticmethod
-    def _indiv(cls, v, ncls):
-        out = cls.copy()
-        out[v] = ncls
-        return out
-
     # -- isomorphism: first full map wins ---------------------------------
-    def find_isomorphism(self, up, clsB):
+    def find_isomorphism(self):
         self._tick()
-        return self._isomorphism(self._refine(up, clsB))
+        return self._isomorphism(self._refine())
 
     def _isomorphism(self, state):
         if state is None:
@@ -428,50 +421,42 @@ class _Search:
                     frontier.append(u)
         return reach
 
-    def find_automorphisms(self, up, clsB, base, first_path):
-        self._tick()
-        return self._automorphisms(self._refine(up, clsB), base, first_path)
-
-    def _automorphisms(self, state, base, first_path):
-        if state is None:
-            return False
-        level, clsB = state
-        if level.ncls == self.n:
-            f = self._leaf(level.cls, clsB)
-            if f is None or np.array_equal(f, np.arange(self.n)):
-                return False
-            self.gens.append(f)
-            return True
-        b = level.b
-        cands = np.flatnonzero(clsB == level.cell)
-        if not first_path:
-            for child in self._children(level, clsB, cands):
-                if self._automorphisms(child, base + [b], False):
-                    return True
-            return False
-        # on the first path b itself comes first, then one representative
-        # per orbit of the generators found so far that fix the base;
-        # reach, the union of the tried candidates' orbits, is extended
-        # from each new candidate and rebuilt only when generators are found.
-        # Each candidate is refined alone, as the orbits change between them
-        sig = self.MB @ _mix(clsB)
-        found = False
-        tried: list[int] = []
-        reach: set[int] = set()
-        ngens = len(self.gens)
-        for w in sorted((int(w) for w in cands), key=lambda w: (w != b, w)):
-            if len(self.gens) > ngens:
-                ngens = len(self.gens)
-                reach = self._orbit(tried, base, set())
-            if w in reach:
-                continue
+    def find_automorphisms(self):
+        """Append generators of A's automorphism group to gens; B must be A
+        (graph_automorphisms is the only caller).  On the first path both
+        graphs individualize b at every depth, so B's partition is A's
+        cached level and is not refined.  Going back up the path, each
+        candidate w != b of a depth, one per orbit of the generators found
+        so far that fix the path above it, is the root of an isomorphism
+        search: a map it finds sends b to w, so it is never the identity,
+        and it has been checked at the leaf."""
+        level = None
+        while level is None or level.ncls < self.n:
             self._tick()
-            [child] = self._refine_siblings(level, clsB, sig, [w])
-            if self._automorphisms(child, base + [b], w == b):
-                found = True
-            tried.append(w)
-            self._orbit([w], base, reach)
-        return found
+            level = self._fixed_level(level)
+        for level in reversed(self.levels[:-1]):
+            base = [up.b for up in self.levels[:level.depth]]
+            sig = self.MB @ _mix(level.cls)
+            # reach, the union of the tried candidates' orbits, is extended
+            # from each new candidate and rebuilt only when generators are
+            # found; each candidate is refined alone, as the orbits change
+            # between them
+            tried = [level.b]
+            reach = self._orbit(tried, base, set())
+            ngens = len(self.gens)
+            for w in np.flatnonzero(level.cls == level.cell).tolist():
+                if len(self.gens) > ngens:
+                    ngens = len(self.gens)
+                    reach = self._orbit(tried, base, set())
+                if w in reach:
+                    continue
+                self._tick()
+                [child] = self._refine_siblings(level, level.cls, sig, [w])
+                f = self._isomorphism(child)
+                if f is not None:
+                    self.gens.append(f)
+                tried.append(w)
+                self._orbit([w], base, reach)
 
 
 def graph_automorphisms(graph: ColoredDigraph, budget: int = 10 ** 7) -> PermGroup:
@@ -480,7 +465,7 @@ def graph_automorphisms(graph: ColoredDigraph, budget: int = 10 ** 7) -> PermGro
     edge and vertex color matrices."""
     s = _Search(graph, graph.edge_color, graph.vertex_color, budget,
                 "graph_automorphisms")
-    s.find_automorphisms(None, s.rootB, [], True)
+    s.find_automorphisms()
     gens = [Permutation(g) for g in s.gens]
     return PermGroup(gens, graph.n)
 
@@ -490,7 +475,7 @@ def find_isomorphism(graph: ColoredDigraph, eb: np.ndarray, vcolb: np.ndarray,
     """A single color isomorphism from graph onto the digraph with edge
     colors eb and vertex colors vcolb, or None."""
     s = _Search(graph, eb, vcolb, budget, "find_isomorphism")
-    f = s.find_isomorphism(None, s.rootB)
+    f = s.find_isomorphism()
     return None if f is None else Permutation(f)
 
 

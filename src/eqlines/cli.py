@@ -16,7 +16,6 @@ from .analysis import (
     EquivalenceWitness,
     hadamard_aut,
     sandwich_report,
-    sic_aut,
     sic_aut_parts,
     tilde_strong_aut,
     weak_equiv_to_strong_sic_witness,
@@ -184,7 +183,7 @@ def _cmd_aut_hadamard(args) -> int:
 def _cmd_aut_sic(args) -> int:
     s = _verified_sic(from_recipe(args.had, cap=args.cap), args)
     parts = sic_aut_parts(s, budget=args.budget)
-    g = sic_aut(s, args.strength, parts=parts)
+    g = parts.group(args.strength)
     payload = {
         "strength": args.strength,
         "group": _group_payload(g),

@@ -184,6 +184,9 @@ class Ring:
 
     def _base(self, v):
         kind = self.spec.kind
+        # int() and Fraction() take booleans as 1 and 0
+        if isinstance(v, (bool, np.bool_)):
+            raise RingError(f"{v!r} is not a component")
         if kind == GAUSSIAN_FRACTION:
             try:
                 return Fraction(v)

@@ -211,8 +211,4 @@ def iota_embed(pi: Permutation, sigma: Permutation) -> Permutation:
     if pi.n != sigma.n:
         raise PermError("size mismatch")
     d = pi.n
-    img = np.empty(d * d, dtype=np.int32)
-    for i in range(d):
-        for j in range(d):
-            img[i * d + j] = pi.img[i] * d + sigma.img[j]
-    return Permutation(img)
+    return Permutation((pi.img[:, None] * d + sigma.img[None, :]).ravel())

@@ -60,11 +60,7 @@ def gram_phase_matrix(h: SignMatrix) -> np.ndarray:
     # ss[i, j, l] = H_ij * H_il; t[i,j,k,l] = phi(H_ij H_il, H_kj H_kl)
     ss = a[:, :, None] * a[:, None, :]
     idx1 = (1 - ss) // 2  # 0 for +1, 1 for -1
-    t = np.empty((d, d, d, d), dtype=np.int8)
-    for i in range(d):
-        for k in range(d):
-            # rows j, cols l
-            t[i, :, k, :] = _PHI_EXP[idx1[i], idx1[k]]
+    t = _PHI_EXP[idx1[:, None], idx1[None, :]].transpose(0, 2, 1, 3)
     ii = np.arange(d)
     delta = (ii[:, None] == ii[None, :]).astype(np.int8)
     t += 2 * delta[:, None, :, None]  # delta_ik

@@ -10,7 +10,6 @@ from eqlines.analysis import (
     iota_weak_group,
     lemma36_extract,
     sandwich_report,
-    sic_aut,
     sic_aut_parts,
     split_weak_pair,
     tilde_strong_aut,
@@ -57,9 +56,9 @@ def test_strong_identity_checker():
     assert list(eps) == [1, 1]
 
 
-def test_d2_sic_groups(d2, d2_parts):
-    gs = sic_aut(d2, "strong", parts=d2_parts)
-    gw = sic_aut(d2, "weak", parts=d2_parts)
+def test_d2_sic_groups(d2_parts):
+    gs = d2_parts.group("strong")
+    gw = d2_parts.group("weak")
     assert gs.order() == gw.order() == 24
     assert gs.is_k_transitive(2)
     # the epsilon = +1 layer holds exactly the even permutations
@@ -68,6 +67,8 @@ def test_d2_sic_groups(d2, d2_parts):
     assert all(g.parity() == 0 for g in base.generators)
     w = d2_parts.coset_witness[(-1, "id")]
     assert w is not None and w.parity() == 1
+    with pytest.raises(AnalysisError):
+        d2_parts.group("medium")
 
 
 def test_lemma_extraction_identity(d2):
@@ -103,15 +104,15 @@ def test_lemma_extraction_absorbs_unit_rescaling(d2):
 
 
 def test_generators_certify(d2, d2_parts):
-    gw = sic_aut(d2, "weak", parts=d2_parts)
+    gw = d2_parts.group("weak")
     for g in gw.generators:
         lemma36_extract(d2, d2, g)
 
 
-def test_iota_lands_in_strong(d2, d2_parts):
+def test_iota_lands_in_strong(d2_parts):
     gi = iota_weak_group(H1)
     assert gi.order() == 4
-    gs = sic_aut(d2, "strong", parts=d2_parts)
+    gs = d2_parts.group("strong")
     for g in gi.generators:
         assert gs.contains(g)
 

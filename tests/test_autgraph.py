@@ -11,6 +11,7 @@ from eqlines.autgraph import (
     _group_classes,
     _Round,
     _mix,
+    _Level,
     _Search,
     encode_phased_matrix_graph,
     encode_sic_graph,
@@ -44,7 +45,7 @@ def _cycle_graph(n):
 def _root_classes(g):
     """Class count of the search's own refinement of g at the root."""
     s = _Search(g, g.edge_color, g.vertex_color, 1, "root refinement")
-    return s._refine(None, s.rootB)[0].ncls
+    return s._refine()[0].ncls
 
 
 def test_root_refinement_separates_path_ends():
@@ -317,20 +318,31 @@ def test_round_lookup_matches_group_classes():
 
 class _Lockstep(_Search):
     """Reference search: refines each child alone, both graphs in
-    lockstep, recomputing the first graph's rounds each time instead of
-    caching them per depth and refining siblings in batches, and
-    recomputes the first path's orbit closure from every vertex reached
-    so far instead of extending it."""
+    lockstep from its own individualization and target-cell rule,
+    recomputing the first graph's rounds each time instead of caching
+    them per depth and refining siblings in batches, and recomputes the
+    first path's orbit closure from every vertex reached so far instead
+    of extending it.  Only the first path of an automorphism search,
+    which refines nothing, walks the cached levels under test."""
 
     def _orbit(self, seeds, base, reach):
         reach |= super()._orbit(list(reach) + list(seeds), base, set())
         return reach
 
-    def _refine_siblings(self, up, clsB, sig, ws):
-        return [self._refine(up, self._indiv(clsB, int(w), up.ncls)) for w in ws]
+    def _refine(self):
+        return self._lockstep(0, self.rootA, self.rootB, self.root_ncls)
 
-    def _refine(self, up, clsB):
-        clsA, ncls = self._fixed_input(up)
+    def _refine_siblings(self, up, clsB, sig, ws):
+        out = []
+        for w in ws:
+            clsA, child = up.cls.copy(), clsB.copy()
+            clsA[up.b] = child[w] = up.ncls
+            out.append(self._lockstep(up.depth + 1, clsA, child, up.ncls + 1))
+        return out
+
+    def _lockstep(self, depth, clsA, clsB, ncls):
+        """Refine both graphs from the given partitions: (A's level, B's
+        partition), or None if the partitions stop matching."""
         while True:
             newA, keysA, countsA = _group_classes(clsA, self.MA @ _mix(clsA))
             newB, keysB, countsB = _group_classes(clsB, self.MB @ _mix(clsB))
@@ -341,8 +353,14 @@ class _Lockstep(_Search):
                 return None
             clsA, clsB = newA, newB
             if countsA.size == ncls:
-                return self._level(up, [], clsA, ncls), clsB
+                break
             ncls = countsA.size
+        if ncls == self.n:
+            return _Level(depth, [], clsA, ncls), clsB
+        # target the first vertex of the smallest nontrivial class
+        sizes = np.bincount(clsA, minlength=ncls)
+        cell = min((sizes[c], c) for c in range(ncls) if sizes[c] > 1)[1]
+        return _Level(depth, [], clsA, ncls, cell, int(np.flatnonzero(clsA == cell)[0])), clsB
 
 
 def _bicirculant():
@@ -392,7 +410,7 @@ def _isomorphism_runs(graph, eb, nodes):
     maps = []
     for cls in (_Search, _Lockstep):
         s = cls(graph, eb, graph.vertex_color, 10 ** 7, "find_isomorphism")
-        maps.append((s.find_isomorphism(None, s.rootB), s.nodes))
+        maps.append((s.find_isomorphism(), s.nodes))
     assert maps[0][1] == maps[1][1] == nodes
     assert (maps[0][0] is None) == (maps[1][0] is None)
     if maps[0][0] is not None:
@@ -405,7 +423,7 @@ def test_cached_rounds_match_lockstep_refinement(name, graph, nodes):
     runs = []
     for cls in (_Search, _Lockstep):
         s = cls(graph, graph.edge_color, graph.vertex_color, 10 ** 7, "graph_automorphisms")
-        s.find_automorphisms(None, s.rootB, [], True)
+        s.find_automorphisms()
         runs.append(s)
     cached, lockstep = runs
     assert cached.nodes == lockstep.nodes == nodes[0]

@@ -237,7 +237,8 @@ def test_group_commands_verify_before_searching(capsys, monkeypatch, argv):
     (lambda blob: blob.update(vectors=[]), "shape (0,)"),
     (lambda blob: blob.pop("source"), "needs the keys d, ring, source, vectors"),
     (lambda blob: blob.update(d=3), "got d = 3"),
-], ids=["fractional component", "no vectors", "no source", "wrong d"])
+    (lambda blob: blob["vectors"][0].__setitem__(0, [True, False]), "True is not a component"),
+], ids=["fractional component", "no vectors", "no source", "wrong d", "boolean component"])
 def test_sic_verify_rejects_malformed_file(capsys, tmp_path, change, message):
     path = tmp_path / "sic.json"
     run(capsys, "sic", "build", "--had", "sylvester:1", "--ring", "gf:3", "--out", str(path))
@@ -270,3 +271,12 @@ def test_aut_hadamard_output_bytes(capsys):
     assert code == 0
     assert (hashlib.sha256(out.encode()).hexdigest()
             == "61861a50f06ca8abbde614b9a90b8831a74bf864d91f4a207e3cc4f23fc33a41")
+
+
+# the same for a sandwich: three automorphism searches and the isomorphism
+# searches of all three recolorings
+def test_sandwich_output_bytes(capsys):
+    code, out, _ = run(capsys, "sandwich", "--had", "sylvester:3", "--ring", "gf:3", "--json")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "136a950aeee0fd5e9ca6dc5aaba97dff2a5b3fb680462b5a874caa055737690e")

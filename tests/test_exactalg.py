@@ -62,6 +62,17 @@ def test_gaussian_integer_arithmetic():
     assert r.el(0, 1).inv() == r.el(0, -1)
 
 
+@pytest.mark.parametrize("spec", ["gf:3", "gauss", "gaussq"])
+def test_booleans_are_not_components(spec):
+    # int() and Fraction() would read them as 1 and 0
+    r = Ring(spec)
+    for v in (True, False, np.True_):
+        with pytest.raises(RingError):
+            r.el(v)
+        with pytest.raises(RingError):
+            r.el(0, v)
+
+
 def test_gaussian_fraction_division():
     r = Ring("gaussq")
     x = r.el(3, 1) / r.el(1, 2)
