@@ -22,8 +22,8 @@ from .autgraph import (
     Recoloring,
     encode_phased_matrix_graph,
     encode_sic_graph,
+    find_isomorphism,
     graph_automorphisms,
-    graph_isomorphism_to_recolored,
     project_fiber,
 )
 from .exactalg import Ring, RingSpec
@@ -151,7 +151,8 @@ class EquivalenceWitness:
 
 @dataclass
 class SicAutParts:
-    """Decomposition of the weak automorphism group of a line system.
+    """Decomposition of the weak automorphism group of a line system,
+    computed from the verified system's own phase table.
 
     base_group is the subgroup acting with eps = +1 and trivial field
     automorphism; coset_witness maps each attempted (eps, gamma) label
@@ -181,8 +182,8 @@ def sic_aut_parts(s: SicSystem, budget: int = DEFAULT_BUDGET) -> SicAutParts:
     twist is always attempted (it matters for the weak group only).
 
     s must be a verified system (see sic.verify_sic): the searches read
-    its phase table and do not check the axioms."""
-    graph = encode_sic_graph(s.gram_phases)
+    the phase table of its vectors (s.phases) and do not check the axioms."""
+    graph = encode_sic_graph(s.phases)
     lifted = graph_automorphisms(graph, budget)
     n2 = s.d ** 2
     base = PermGroup([project_fiber(g, 4) for g in lifted.generators], n2)
@@ -191,7 +192,8 @@ def sic_aut_parts(s: SicSystem, budget: int = DEFAULT_BUDGET) -> SicAutParts:
     if s.ring.char == 3:
         labels += [(-1, "id"), (-1, "conj")]
     for eps, gamma in labels:
-        f = graph_isomorphism_to_recolored(graph, Recoloring(eps, gamma), budget)
+        f = find_isomorphism(graph, Recoloring(eps, gamma).apply(graph.edge_color),
+                             graph.vertex_color, budget)
         parts.coset_witness[(eps, gamma)] = None if f is None else project_fiber(f, 4)
     return parts
 
@@ -199,7 +201,7 @@ def sic_aut_parts(s: SicSystem, budget: int = DEFAULT_BUDGET) -> SicAutParts:
 def tilde_strong_aut(h: SignMatrix, budget: int = DEFAULT_BUDGET) -> PermGroup:
     """Strong automorphism group of the induced order d^2 sign matrix,
     as a permutation group on [d] x [d]."""
-    ht = build_tilde(h, cap=max(h.d * h.d, 256))
+    ht = build_tilde(h)
     return hadamard_aut(ht, "strong", budget)
 
 
@@ -222,8 +224,8 @@ def lemma36_extract(s: SicSystem, s_prime: SicSystem, pi: Permutation,
     line systems, or raise AnalysisError if no admissible (eps, gamma)
     satisfies the relation.  eps = -1 is admissible only in
     characteristic 3."""
-    T = s.observed_phases.astype(np.int64)
-    Tp = s_prime.observed_phases.astype(np.int64)
+    T = s.phases.astype(np.int64)
+    Tp = s_prime.phases.astype(np.int64)
     n = T.shape[0]
     if pi.n != n:
         raise AnalysisError("permutation degree mismatch")
@@ -317,20 +319,17 @@ class SandwichReport:
         }
 
 
-def sandwich_report(h: SignMatrix, ring, budget: int = DEFAULT_BUDGET,
-                    parts: SicAutParts | None = None) -> SandwichReport:
+def sandwich_report(s: SicSystem, budget: int = DEFAULT_BUDGET) -> SandwichReport:
     """Compute the chain iota(weak(H)) <= strong(lines) <= weak(lines)
-    <= strong(Ht) on [d] x [d], certify each inclusion by generator
-    membership, and report exact orders, indices, orbit partitions and
-    transitivity degrees.
+    <= strong(Ht) on [d] x [d] for the line system s built from H =
+    s.source, certify each inclusion by generator membership, and report
+    exact orders, indices, orbit partitions and transitivity degrees.
 
-    Like sic_aut_parts, this expects the line system of h over ring to
-    be verified (see sic.verify_sic); it does not check the axioms.
-    Without parts, the system is constructed here."""
-    if not isinstance(ring, Ring):
-        ring = Ring(ring)
-    if parts is None:
-        parts = sic_aut_parts(construct_sic(h, ring), budget)
+    Like sic_aut_parts, this expects s to be verified (see
+    sic.verify_sic); it does not check the axioms.  The two line-system
+    groups are computed from the phase table of its vectors (s.phases)."""
+    h = s.source
+    parts = sic_aut_parts(s, budget)
     chain = {
         "iota_weak_H": iota_weak_group(h, budget),
         "strong_sic": parts.group("strong"),
@@ -344,8 +343,8 @@ def sandwich_report(h: SignMatrix, ring, budget: int = DEFAULT_BUDGET,
     orbits = {name: g.orbits() for name, g in chain.items()}
     transitivity = {name: g.transitivity_degree(cap=3) for name, g in chain.items()}
     return SandwichReport(
-        d=h.d,
-        ring=ring.spec,
+        d=s.d,
+        ring=s.ring.spec,
         groups=chain,
         orders=orders,
         indices=indices,

@@ -131,7 +131,7 @@ def encode_sic_graph(phase_table: np.ndarray) -> ColoredDigraph:
 
 
 def encode_phased_matrix_graph(sign_matrix, mode: str) -> ColoredDigraph:
-    """Sign cover graph of a {+1,-1} matrix H.
+    """Sign cover graph of the {+1,-1} array H of a SignMatrix.
 
     mode "strong": one fiber of 2 per index, vertex v = i*2+s standing
     for (i, (-1)^s); edge (i,s)-(j,t) for i != j colored by the sign
@@ -147,7 +147,7 @@ def encode_phased_matrix_graph(sign_matrix, mode: str) -> ColoredDigraph:
     (pi, sigma, eps, eps') with H[pi i, sigma j] = eps_i eps'_j H[i,j],
     again with an order 2 kernel (flipping both sides at once).
     """
-    H = sign_matrix.array if hasattr(sign_matrix, "array") else np.asarray(sign_matrix)
+    H = sign_matrix.array
     d = H.shape[0]
     sgn = np.array([[1, -1], [-1, 1]], dtype=np.int8)
     prod = np.kron(H.astype(np.int8), sgn)
@@ -477,14 +477,6 @@ def find_isomorphism(graph: ColoredDigraph, eb: np.ndarray, vcolb: np.ndarray,
     s = _Search(graph, eb, vcolb, budget, "find_isomorphism")
     f = s.find_isomorphism()
     return None if f is None else Permutation(f)
-
-
-def graph_isomorphism_to_recolored(graph: ColoredDigraph, recoloring: Recoloring,
-                                   budget: int = 10 ** 7) -> Permutation | None:
-    """Vertex map carrying the graph onto itself after the given payload
-    color substitution, or None if the substitution is not realized."""
-    return find_isomorphism(graph, recoloring.apply(graph.edge_color),
-                            graph.vertex_color, budget)
 
 
 def project_fiber(perm: Permutation, fiber_size: int) -> Permutation:

@@ -52,11 +52,6 @@ class VerificationFailure(Exception):
         self.payload = payload
 
 
-def _default_budget() -> int:
-    raw = os.environ.get("EQLINES_BUDGET", "")
-    return int(raw) if raw else 10 ** 7
-
-
 def _emit(args, payload: dict, plain: str | None = None):
     if getattr(args, "json", False) or plain is None:
         text = json.dumps(payload, sort_keys=True, indent=2)
@@ -202,10 +197,8 @@ def _cmd_aut_tilde(args) -> int:
 
 
 def _cmd_sandwich(args) -> int:
-    m = from_recipe(args.had, cap=args.cap)
-    s = _verified_sic(m, args)
-    rep = sandwich_report(m, s.ring, budget=args.budget,
-                          parts=sic_aut_parts(s, args.budget))
+    rep = sandwich_report(_verified_sic(from_recipe(args.had, cap=args.cap), args),
+                          args.budget)
     payload = rep.to_json_dict()
     plain = " <= ".join(str(rep.orders[k]) for k in
                         ("iota_weak_H", "strong_sic", "weak_sic", "strong_tilde"))
@@ -239,6 +232,16 @@ def _cmd_witness_check(args) -> int:
 # argument wiring
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _add_common(p, ring=False, budget=False):
     p.add_argument("--cap", type=int, default=256,
                    help="largest matrix order to generate")
@@ -248,8 +251,9 @@ def _add_common(p, ring=False, budget=False):
         p.add_argument("--ring", required=True,
                        help="coefficient ring: gf:p, gauss, or gaussq")
     if budget:
-        p.add_argument("--budget", type=int, default=_default_budget(),
-                       help="search node budget")
+        p.add_argument("--budget", type=_positive_int,
+                       default=os.environ.get("EQLINES_BUDGET", "10000000"),
+                       help="search node budget (default: $EQLINES_BUDGET or 10000000)")
 
 
 def build_parser() -> argparse.ArgumentParser:

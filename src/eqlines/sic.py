@@ -28,15 +28,11 @@ from .exactalg import (
 )
 from .hadamard import (
     DEFAULT_ORDER_CAP,
-    HadamardError,
     OrderCapError,
     SignMatrix,
     check_modular_hadamard,
-    kron_product,
     parse_sign_matrix,
-    paley,
     render_sign_matrix,
-    sylvester,
 )
 
 # canonical integer values of the three defining constants
@@ -53,8 +49,8 @@ _PHI_EXP = np.array([[2, 1], [3, 0]], dtype=np.int8)
 
 
 def gram_phase_matrix(h: SignMatrix) -> np.ndarray:
-    """Exponent matrix T over X x X (row-major X = [d]^2) with
-    (x_u, x_v) = 4 i^T[u, v] for u != v; diagonal entries are 0 and unused."""
+    """Closed-form exponent matrix T over X x X (row-major X = [d]^2) with
+    (x_u, x_v) = 4 i^T[u, v] for u != v, and 0 on the diagonal."""
     a = h.array.astype(np.int8)
     d = h.d
     # ss[i, j, l] = H_ij * H_il; t[i,j,k,l] = phi(H_ij H_il, H_kj H_kl)
@@ -66,25 +62,7 @@ def gram_phase_matrix(h: SignMatrix) -> np.ndarray:
     t += 2 * delta[:, None, :, None]  # delta_ik
     t += 2 * delta[None, :, None, :]  # delta_jl
     t %= 4
-    return t.reshape(d * d, d * d)
-
-
-def gram_phase_exponents(s: "SicSystem") -> np.ndarray:
-    """Phase table read off the vectors themselves: T[u, v] in Z/4 with
-    (x_u, x_v) = 4 i^T[u, v] for u != v.  Independent of the closed form
-    (no reference to the source sign matrix); raises SicError if some
-    off-diagonal inner product is not 4 times a power of i."""
-    ring = s.ring
-    n = s.d * s.d
-    gre, gim = s.vectors.gram()
-    t = np.full((n, n), -1, dtype=np.int8)
-    for k in range(4):
-        val = ring.el(4) * ring.i_power(k)
-        t[(gre == int(val.re)) & (gim == int(val.im))] = k
-    off = ~np.eye(n, dtype=bool)
-    if (t[off] < 0).any():
-        u, v = np.argwhere((t < 0) & off)[0]
-        raise SicError(f"inner product at ({u}, {v}) is not 4 i^k")
+    t = t.reshape(d * d, d * d)
     np.fill_diagonal(t, 0)
     return t
 
@@ -104,14 +82,24 @@ class SicSystem:
         return i * self.d + j
 
     @cached_property
-    def gram_phases(self) -> np.ndarray:
-        return gram_phase_matrix(self.source)
-
-    @cached_property
-    def observed_phases(self) -> np.ndarray:
-        """Phase table recomputed from the vectors, not from the source
-        matrix; see gram_phase_exponents."""
-        return gram_phase_exponents(self)
+    def phases(self) -> np.ndarray:
+        """Phase table read off the vectors themselves: T[u, v] in Z/4 with
+        (x_u, x_v) = 4 i^T[u, v] for u != v, and 0 on the diagonal.
+        Independent of the closed form (no reference to the source sign
+        matrix); raises SicError if some off-diagonal inner product is not
+        4 times a power of i.  The table is read-only, as the vectors are."""
+        n = self.d * self.d
+        gre, gim = self.vectors.gram()
+        t = np.full((n, n), -1, dtype=np.int8)
+        for k in range(4):
+            val = self.ring.el(4) * self.ring.i_power(k)
+            t[(gre == int(val.re)) & (gim == int(val.im))] = k
+        np.fill_diagonal(t, 0)
+        if (t < 0).any():
+            u, v = np.argwhere(t < 0)[0]
+            raise SicError(f"inner product at ({u}, {v}) is not 4 i^k")
+        t.flags.writeable = False
+        return t
 
     def to_json_dict(self) -> dict:
         return {
@@ -244,27 +232,9 @@ def verify_sic(s: SicSystem) -> SicVerdict:
     return SicVerdict(True, a_el, b_el, c_el)
 
 
-def gram_closed_form(h: SignMatrix, ring: Ring, ij, kl) -> RingElement:
-    """Closed-form inner product (x_ij, x_kl) for (i, j) != (k, l)."""
-    if not isinstance(ring, Ring):
-        ring = Ring(ring)
-    i, j = ij
-    k, l = kl
-    if (i, j) == (k, l):
-        raise SicError("diagonal pair requested")
-    a = h.entries
-    s1 = a[i][j] * a[i][l]
-    s2 = a[k][j] * a[k][l]
-    t = int(_PHI_EXP[(1 - s1) // 2, (1 - s2) // 2])
-    t += 2 * (i == k) + 2 * (j == l)
-    return ring.el(4) * ring.i_power(t)
-
-
-def build_tilde(h: SignMatrix, cap: int = DEFAULT_ORDER_CAP) -> SignMatrix:
+def build_tilde(h: SignMatrix) -> SignMatrix:
     """Order-d^2 sign matrix M[(i,j),(k,l)] = H_kj * H_il, row-major indices."""
     d = h.d
-    if d * d > cap:
-        raise OrderCapError(f"order {d * d} exceeds cap {cap}")
     a = h.array.astype(np.int8)
     t = np.einsum("kj,il->ijkl", a, a)
     return SignMatrix.from_array(t.reshape(d * d, d * d))
@@ -276,8 +246,8 @@ def tensor_gram_check(s: SicSystem) -> bool:
     no explicit tensors are formed."""
     d = s.d
     hv = s.source.array.reshape(d * d).astype(np.int64)  # H_ij over row-major u
-    t = s.observed_phases
-    ht = build_tilde(s.source, cap=max(DEFAULT_ORDER_CAP, d * d)).array.astype(np.int64)
+    t = s.phases
+    ht = build_tilde(s.source).array.astype(np.int64)
     # squared inner products: diagonal 144, off-diagonal 16 * (-1)^t
     sq = 16 * np.where(t % 2 == 0, 1, -1).astype(np.int64)
     np.fill_diagonal(sq, A_INT * A_INT)
@@ -296,7 +266,7 @@ def triple_product(s: SicSystem, u, v, w) -> RingElement:
     iw = s.index(*w) if isinstance(w, tuple) else w
     if len({iu, iv, iw}) != 3:
         raise SicError("triple product needs three distinct indices")
-    t = s.gram_phases
+    t = s.phases
     e = int(t[iu, iv]) + int(t[iv, iw]) + int(t[iw, iu])
     return s.ring.el(64) * s.ring.i_power(e)
 
@@ -315,11 +285,10 @@ def applicable_primes(d: int, bound: int = 1000) -> tuple[list[int], bool]:
     return primes, all_flag
 
 
-def constructible_orders(n_max: int, cap: int = DEFAULT_ORDER_CAP) -> dict[int, str]:
+def constructible_orders(n_max: int) -> dict[int, str]:
     """Orders <= n_max of honest Hadamard matrices the toolkit can synthesize
     from sylvester / paley(prime q) / kron, with a replayable recipe each.
     First recipe found in canonical enumeration order wins."""
-    cap = min(cap, n_max)
     best: dict[int, str] = {}
     k = 0
     while 2**k <= n_max:
@@ -351,7 +320,7 @@ def scan_dimensions(p: int, n_max: int, cap: int = DEFAULT_ORDER_CAP) -> list[tu
         raise SicError(f"need a prime p = 3 (mod 4), got {p}")
     if n_max > cap:
         raise OrderCapError(f"scan bound {n_max} exceeds cap {cap}")
-    orders = constructible_orders(n_max, cap)
+    orders = constructible_orders(n_max)
     out = []
     for d in sorted(orders):
         if (d - 8) % p == 0:

@@ -20,7 +20,7 @@ from eqlines.analysis import (
 from eqlines.exactalg import Ring
 from eqlines.hadamard import SignMatrix, sylvester
 from eqlines.permgroup import Permutation
-from eqlines.sic import construct_sic
+from eqlines.sic import construct_sic, verify_sic
 
 H1 = SignMatrix.from_array(np.array([[1, 1], [1, -1]]))
 H2 = SignMatrix.from_array(np.array([[1, 1], [-1, 1]]))
@@ -187,8 +187,8 @@ def test_weak_equiv_names_failing_component(monkeypatch, ring):
         weak_equiv_to_strong_sic_witness(h, hp, w, Ring(ring))
 
 
-def test_sandwich_sylvester1():
-    rep = sandwich_report(H1, Ring("gf:3"))
+def test_sandwich_sylvester1(d2):
+    rep = sandwich_report(d2)
     chain = list(rep.groups.values())
     for small, big in zip(chain, chain[1:]):
         assert all(big.contains(g) for g in small.generators)
@@ -205,13 +205,34 @@ def test_sandwich_reuses_given_parts(monkeypatch):
     import eqlines.analysis as analysis
     ring = Ring("gf:3")
     s = construct_sic(H1, ring)
-    want = sandwich_report(H1, ring).to_json_dict()
+    want = sandwich_report(construct_sic(H1, ring)).to_json_dict()
 
     def no_construct(*args, **kwargs):
         raise AssertionError("the system was constructed again")
 
     monkeypatch.setattr(analysis, "construct_sic", no_construct)
-    assert sandwich_report(H1, ring, parts=sic_aut_parts(s)).to_json_dict() == want
+    assert sandwich_report(s).to_json_dict() == want
+
+
+HOGGAR_ORDERS = {"iota_weak_H": 10752, "strong_sic": 387072,
+                 "weak_sic": 774144, "strong_tilde": 92897280}
+
+
+@pytest.mark.parametrize("ring,seed", [("gf:3", 31), ("gauss", 32)])
+def test_sandwich_invariant_under_weak_transforms(ring, seed):
+    """A weak transform of H relabels the four groups without changing
+    them: seeded random transforms of Sylvester's order-8 matrix all give
+    Hoggar's chain."""
+    rng = np.random.default_rng(seed)
+    h = sylvester(3)
+    for _ in range(2):
+        w = EquivalenceWitness(Permutation(rng.permutation(8)), Permutation(rng.permutation(8)),
+                               rng.choice([1, -1], size=8), rng.choice([1, -1], size=8))
+        s = construct_sic(w.apply(h), Ring(ring))
+        assert verify_sic(s).passed
+        rep = sandwich_report(s)
+        assert rep.orders == HOGGAR_ORDERS
+        assert rep.indices == (36, 2, 120)
 
 
 def test_sandwich_transitivity_needs_no_stabilizer(monkeypatch):
@@ -222,7 +243,7 @@ def test_sandwich_transitivity_needs_no_stabilizer(monkeypatch):
         raise AssertionError("a point stabilizer was computed")
 
     monkeypatch.setattr(PermutationGroup, "stabilizer", no_stabilizer)
-    rep = sandwich_report(sylvester(3), Ring("gauss"))
+    rep = sandwich_report(construct_sic(sylvester(3), Ring("gauss")))
     assert rep.transitivity == {"iota_weak_H": 1, "strong_sic": 2,
                                 "weak_sic": 2, "strong_tilde": 2}
 

@@ -17,7 +17,6 @@ from eqlines.autgraph import (
     encode_sic_graph,
     find_isomorphism,
     graph_automorphisms,
-    graph_isomorphism_to_recolored,
     project_fiber,
 )
 from eqlines.exactalg import Ring
@@ -121,7 +120,7 @@ def test_recoloring_involutions():
 
 def test_sic_graph_shape_and_kernel():
     s = construct_sic(sylvester(1), Ring("gf:3"))
-    g = encode_sic_graph(s.gram_phases)
+    g = encode_sic_graph(s.phases)
     assert g.n == 16 and g.fiber_size == 4
     lifted = graph_automorphisms(g)
     projected = [project_fiber(p, 4) for p in lifted.generators]
@@ -148,8 +147,8 @@ def test_phased_graph_weak_sides_not_swapped():
 
 def test_recolored_search_on_sic_graph():
     s = construct_sic(sylvester(1), Ring("gf:3"))
-    g = encode_sic_graph(s.gram_phases)
-    f = graph_isomorphism_to_recolored(g, Recoloring(-1, "id"))
+    g = encode_sic_graph(s.phases)
+    f = find_isomorphism(g, Recoloring(-1, "id").apply(g.edge_color), g.vertex_color)
     assert f is not None
     lut = Recoloring(-1, "id").lut()
     assert np.array_equal(lut[g.edge_color][np.ix_(f.img, f.img)], g.edge_color)
@@ -394,7 +393,7 @@ def test_bicirculant_group():
 def _differential_graphs():
     yield "bicirculant", _bicirculant(), (5, 2)
     yield "sic sylvester:1 gf:3", encode_sic_graph(
-        construct_sic(sylvester(1), Ring("gf:3")).gram_phases), (8, 3)
+        construct_sic(sylvester(1), Ring("gf:3")).phases), (8, 3)
     for recipe in ("sylvester:3", "paley1:7"):
         for mode, nodes in (("weak", (43, 1)), ("strong", (13, 1))):
             yield (f"{recipe} {mode}",
@@ -436,5 +435,5 @@ def test_cached_rounds_match_lockstep_refinement(name, graph, nodes):
 def test_refuted_recoloring_matches_lockstep():
     # Hoggar's phase table is not isomorphic to its negation, and every
     # child of the root fails refinement: the search refines 256 siblings
-    g = encode_sic_graph(construct_sic(sylvester(3), Ring("gf:3")).gram_phases)
+    g = encode_sic_graph(construct_sic(sylvester(3), Ring("gf:3")).phases)
     assert _isomorphism_runs(g, Recoloring(-1, "id").apply(g.edge_color), 257) is None

@@ -105,6 +105,21 @@ def test_budget_exit_code(capsys):
     assert "graph_automorphisms exceeded its budget of 5 search nodes" in err
 
 
+@pytest.mark.parametrize("budget", ["abc", "0"])
+def test_budget_must_be_positive(capsys, budget):
+    code, out, err = run(capsys, "aut", "tilde", "--had", "sylvester:1", "--budget", budget)
+    assert code == 2 and out == ""
+    assert f"argument --budget: '{budget}' is not a positive integer" in err
+
+
+def test_budget_environment_read_by_search_commands_only(capsys, monkeypatch):
+    monkeypatch.setenv("EQLINES_BUDGET", "abc")
+    assert run(capsys, "hadamard", "gen", "sylvester:1")[0] == 0
+    assert run(capsys, "aut", "tilde", "--had", "sylvester:1")[0] == 2
+    monkeypatch.setenv("EQLINES_BUDGET", "3")
+    assert run(capsys, "aut", "tilde", "--had", "sylvester:1")[0] == 3
+
+
 def test_sandwich_json_deterministic(capsys):
     code, out1, _ = run(capsys, "sandwich", "--had", "sylvester:1",
                         "--ring", "gf:3", "--json")
@@ -280,3 +295,18 @@ def test_sandwich_output_bytes(capsys):
     assert code == 0
     assert (hashlib.sha256(out.encode()).hexdigest()
             == "136a950aeee0fd5e9ca6dc5aaba97dff2a5b3fb680462b5a874caa055737690e")
+
+
+# the same for the line-system groups: `aut sic` prints the coset
+# witnesses, which a sandwich does not; the sandwich is over the Gaussian
+# integers
+@pytest.mark.parametrize("argv,digest", [
+    (["aut", "sic", "--had", "sylvester:3", "--ring", "gf:3", "--strength", "weak"],
+     "73f450f9ea331903fb6a53eb04dd928c650b4775fdfb19c02dafe61473861fcb"),
+    (["sandwich", "--had", "sylvester:3", "--ring", "gauss"],
+     "37a31902520effc7fcb1fab234aa225ca3f446ac8947bb9f5d2e0ed3322e737e"),
+], ids=["aut sic", "sandwich gauss"])
+def test_line_group_output_bytes(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

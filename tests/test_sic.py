@@ -13,7 +13,6 @@ from eqlines.sic import (
     build_tilde,
     construct_sic,
     constructible_orders,
-    gram_closed_form,
     gram_phase_matrix,
     scan_dimensions,
     tensor_gram_check,
@@ -97,6 +96,7 @@ def test_closed_form_agrees_with_inner_products():
     h = paley(7, "I")  # d = 8, any odd prime characteristic works
     s = construct_sic(h, ring)
     d = h.d
+    phase = gram_phase_matrix(h)
     for u in [0, 5, 17, 40]:
         for w in [3, 11, 29, 63]:
             if u == w:
@@ -104,12 +104,7 @@ def test_closed_form_agrees_with_inner_products():
             acc = ring.zero
             for t in range(d):
                 acc = acc + _element(s, u, t).conj() * _element(s, w, t)
-            assert acc == gram_closed_form(h, ring, (u // d, u % d), (w // d, w % d))
-
-
-def test_closed_form_rejects_diagonal():
-    with pytest.raises(SicError):
-        gram_closed_form(sylvester(1), Ring("gf:3"), (0, 1), (0, 1))
+            assert acc == ring.el(4) * ring.i_power(int(phase[u, w]))
 
 
 def test_phase_matrix_values_lie_in_z4(d2_sic):
@@ -229,8 +224,7 @@ def _tampered(s, u, t, change):
 def test_large_prime_systems_verify_exactly(p):
     s = construct_sic(sylvester(3), Ring(f"gf:{p}"))
     assert verify_sic(s).passed
-    off = ~np.eye(64, dtype=bool)
-    assert np.array_equal(s.observed_phases[off], s.gram_phases[off])
+    assert np.array_equal(s.phases, gram_phase_matrix(s.source))
     i = s.ring.i
     # x + i changes the norm of a +-1 component: (x_5, x_5) != 12
     v = verify_sic(_tampered(s, 5, 2, lambda x: x + i))
@@ -238,6 +232,8 @@ def test_large_prime_systems_verify_exactly(p):
     # i x keeps every norm but turns some (x_u, x_5) away from 4 i^k
     v = verify_sic(_tampered(s, 5, 2, lambda x: x * i))
     assert (v.passed, v.failed_axiom) == (False, "b") and 5 in v.witness
+    with pytest.raises(SicError, match=r"is not 4 i\^k"):
+        _tampered(s, 5, 2, lambda x: x * i).phases
 
 
 def _prime_3mod4(start, step):
