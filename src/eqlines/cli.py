@@ -11,6 +11,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .analysis import (
     AnalysisError,
     EquivalenceWitness,
@@ -21,7 +23,7 @@ from .analysis import (
     weak_equiv_to_strong_sic_witness,
 )
 from .autgraph import BudgetExceeded
-from .exactalg import Ring, RingError, RingSpec
+from .exactalg import Components, Ring, RingError, RingSpec
 from .hadamard import (
     HadamardError,
     check_modular_hadamard,
@@ -52,9 +54,36 @@ class VerificationFailure(Exception):
         self.payload = payload
 
 
+def _json_text(payload: dict) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2) for a non-empty dict,
+    in which a Components value stands for the nested list [[[re, im], ...],
+    ...] of its rows' (re, im) pairs."""
+    items = []
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, Components):
+            text = _components_text(value)
+        else:
+            text = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
+def _components_text(c: Components) -> str:
+    """The (re, im) pairs of c's rows as json.dumps(..., indent=2) writes
+    them one level into a dict, filled into one %d template (json would
+    walk them one by one, 93,312 of them at d = 36).  The components are
+    integers, as construct_sic makes them."""
+    rows, cols = c.re.shape
+    pair = "      [\n        %d,\n        %d\n      ]"
+    row = "    [\n" + ",\n".join([pair] * cols) + "\n    ]"
+    template = "[\n" + ",\n".join([row] * rows) + "\n  ]"
+    return template % tuple(np.stack([c.re, c.im], -1).ravel().tolist())
+
+
 def _emit(args, payload: dict, plain: str | None = None):
     if getattr(args, "json", False) or plain is None:
-        text = json.dumps(payload, sort_keys=True, indent=2)
+        text = _json_text(payload)
     else:
         text = plain
     out = getattr(args, "out", None)
@@ -125,11 +154,11 @@ def _cmd_hadamard_check(args) -> int:
 
 def _cmd_sic_build(args) -> int:
     m = from_recipe(args.had, cap=args.cap)
-    ring = _ring(args)
-    s = construct_sic(m, ring)
+    s = construct_sic(m, _ring(args))
     verdict = verify_sic(s)
-    payload = s.to_json_dict()
-    payload["verdict"] = _verdict_payload(verdict)
+    # s.to_json_dict(), with the vectors left as components for _emit
+    payload = {"d": s.d, "ring": str(s.ring.spec), "source": render_sign_matrix(m),
+               "vectors": s.vectors, "verdict": _verdict_payload(verdict)}
     if not verdict.passed:
         raise VerificationFailure("constructed system fails verification", payload)
     _emit(args, payload)
@@ -148,9 +177,10 @@ def _cmd_sic_verify(args) -> int:
 
 
 def _cmd_sic_primes(args) -> int:
-    primes, all_odd = applicable_primes(args.dim, bound=args.bound)
-    payload = {"dimension": args.dim, "primes": primes, "all_odd_primes": all_odd}
-    plain = ("every odd prime" if all_odd else
+    primes, every = applicable_primes(args.dim, bound=args.bound)
+    # the key's name is kept for the --json bytes; it means every p = 3 (mod 4)
+    payload = {"dimension": args.dim, "primes": primes, "all_odd_primes": every}
+    plain = ("every prime p = 3 (mod 4)" if every else
              " ".join(str(p) for p in primes) or "(none)")
     _emit(args, payload, plain)
     return EXIT_OK

@@ -223,18 +223,32 @@ def exact_dtype(bound: int):
     return np.int64 if bound < 2**63 else object
 
 
+# float64 holds every integer of absolute value at most 2^53 exactly
+FLOAT_EXACT = 2**53
+
+
+def gram_bound(shape: tuple[int, int], top: int) -> int:
+    """Bound on every partial sum of a Gram entry of an m x n matrix, or of
+    its transpose, with components at most ``top`` in absolute value.  An
+    entry of either Gram matrix sums k = 2 max(m, n) products of two
+    components (re re + im im, or re im - im re), each at most top^2 in
+    absolute value; any sum of some of these products, in any order, is
+    therefore at most k top^2 in absolute value."""
+    return 2 * max(shape) * top ** 2
+
+
 def component_dtype(ring: Ring, shape: tuple[int, int], top: int):
     """exact_dtype for the integer components of an m x n matrix over ring,
     none above ``top`` in absolute value; Components.of and
-    sic.construct_sic both size their arrays by it.  A Gram entry sums
-    k = 2 max(m, n) products of components.  Over GF(p^2) components are
-    reduced, so top is p - 1 whatever is given, and a reduced entry's norm
-    and an elimination update stay below 4 (p - 1)^2; in char 0 a norm is
-    <= 2 (k top^2)^2."""
-    k = 2 * max(shape)
+    sic.construct_sic both size their arrays by it.  A Gram entry is at
+    most gram_bound(shape, top).  Over GF(p^2) components are reduced, so
+    top is p - 1 whatever is given, and a reduced entry's norm and an
+    elimination update stay below 4 (p - 1)^2; in char 0 a norm is at most
+    2 gram_bound(shape, top)^2."""
     if ring.char:
-        return exact_dtype(max(k, 4) * (ring.char - 1) ** 2)
-    return exact_dtype(2 * (k * top ** 2) ** 2)
+        top = ring.char - 1
+        return exact_dtype(max(gram_bound(shape, top), 4 * top ** 2))
+    return exact_dtype(2 * gram_bound(shape, top) ** 2)
 
 
 @dataclass(frozen=True)
@@ -267,16 +281,56 @@ class Components:
 
     def gram(self) -> tuple[np.ndarray, np.ndarray]:
         """(re, im) of G[a, b] = (row_a, row_b) = sum_t conj(row_a[t]) row_b[t],
-        reduced mod p over GF(p^2)."""
+        reduced mod p over GF(p^2), in the components' dtype.
+
+        int64 components whose gram_bound is at most 2^53 are multiplied in
+        float64 BLAS, and the result is exact: each product and each partial
+        sum that a classical matrix product forms, in whatever order and
+        blocking and with or without fused multiply-add, is an integer of
+        absolute value at most gram_bound <= 2^53, which float64 represents
+        exactly, so no step rounds.  Other components are multiplied in
+        their own dtype, int64 under component_dtype's bound and Python
+        integers beyond it."""
         re, im = self.re, self.im
-        gre = re @ re.T
-        gre += im @ im.T
-        gim = re @ im.T
-        gim -= im @ re.T
+        in_float64 = False
+        if re.dtype == np.int64:
+            top = int(max(np.abs(re).max(initial=0), np.abs(im).max(initial=0)))
+            in_float64 = gram_bound(re.shape, top) <= FLOAT_EXACT
+        if in_float64:
+            gre, gim = _gram_float64(re, im)
+        else:
+            gre = re @ re.T
+            gre += im @ im.T
+            gim = re @ im.T
+            gim -= im @ re.T
         if self.ring.char:
             gre %= self.ring.char
             gim %= self.ring.char
         return gre, gim
+
+
+# rows of the float64 Gram product held at once
+_GRAM_ROWS = 256
+
+
+def _gram_float64(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Components.gram's two int64 products, unreduced, by one float64
+    product per block of rows: row a of [re | im] times row b of [re | im]
+    is gre[a, b], and times row b of [im | -re] it is gim[a, b].  Blocks of
+    rows keep the float64 result small beside the two int64 arrays."""
+    re, im = re.astype(np.float64), im.astype(np.float64)
+    x = np.hstack([re, im])
+    y = np.vstack([x, np.hstack([im, -re])])
+    n = len(x)
+    gre = np.empty((n, n), dtype=np.int64)
+    gim = np.empty_like(gre)
+    buf = np.empty((min(n, _GRAM_ROWS), 2 * n))
+    for lo in range(0, n, _GRAM_ROWS):
+        block = x[lo:lo + _GRAM_ROWS]
+        f = np.matmul(block, y.T, out=buf[:len(block)])
+        gre[lo:lo + len(block)] = f[:, :n]
+        gim[lo:lo + len(block)] = f[:, n:]
+    return gre, gim
 
 
 def mat_rank(c: Components) -> int:

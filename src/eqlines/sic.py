@@ -197,8 +197,8 @@ class SicVerdict:
 
 def verify_sic(s: SicSystem) -> SicVerdict:
     """Check the four defining axioms exactly, for every ring: one Gram
-    matrix and one rank on the vectors' components, int64 only where a
-    bound proves it exact."""
+    matrix and one rank on the vectors' components, int64 (and float64
+    BLAS for the Gram products) only where a bound proves it exact."""
     ring, d, x = s.ring, s.d, s.vectors  # row u of x is x_u
     a_el, b_el, c_el = ring.el(A_INT), ring.el(B_INT), ring.el(C_INT)
     if (a_el * a_el) == b_el:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from eqlines.cli import main
-from eqlines.hadamard import parse_sign_matrix, render_sign_matrix, sylvester
+from eqlines.exactalg import Ring
+from eqlines.hadamard import from_recipe, parse_sign_matrix, render_sign_matrix, sylvester
+from eqlines.sic import SicVerdict, construct_sic
 
 
 def run(capsys, *argv):
@@ -69,6 +71,53 @@ def test_sic_primes(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["primes"] == [7] and blob["all_odd_primes"] is False
+
+
+def test_sic_primes_dim8_plain(capsys):
+    # for d = 8 every prime divides d - 8, but only p = 3 (mod 4) gives a ring
+    code, out, _ = run(capsys, "sic", "primes", "--dim", "8")
+    assert (code, out) == (0, "every prime p = 3 (mod 4)\n")
+
+
+def _reference_build_text(recipe, ring, verdict):
+    """The `sic build` payload written by json.dumps from the nested lists
+    of SicSystem.to_json_dict."""
+    s = construct_sic(from_recipe(recipe), Ring(ring))
+    payload = {**s.to_json_dict(), "verdict": verdict}
+    return s, json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+_PASSED = {"a": 12, "b": 16, "c": 96, "failed_axiom": None, "passed": True}
+
+
+@pytest.mark.parametrize("ring,dtype", [
+    ("gf:3", np.int64), ("gf:2305843009213693951", object), ("gauss", np.int64),
+    ("gaussq", np.int64),
+])
+def test_sic_build_writer_matches_json_dumps(capsys, ring, dtype):
+    s, want = _reference_build_text("sylvester:3", ring, _PASSED)
+    assert s.vectors.re.dtype == dtype
+    if ring == "gauss":
+        assert (s.vectors.re < 0).any() and (s.vectors.im < 0).any()
+    code, out, _ = run(capsys, "sic", "build", "--had", "sylvester:3", "--ring", ring, "--json")
+    assert code == 0 and out == want
+
+
+def test_sic_build_failure_payload_matches_json_dumps(capsys, tmp_path, monkeypatch):
+    import eqlines.cli as cli
+
+    def failing(s):
+        a, b, c = (s.ring.el(v) for v in (12, 16, 96))
+        return SicVerdict(False, a, b, c, failed_axiom="b", witness=(0, 1))
+
+    monkeypatch.setattr(cli, "verify_sic", failing)
+    _, want = _reference_build_text("sylvester:3", "gauss",
+                                    {**_PASSED, "failed_axiom": "b", "passed": False})
+    path = tmp_path / "failed.json"
+    code, out, err = run(capsys, "sic", "build", "--had", "sylvester:3", "--ring", "gauss",
+                         "--out", str(path))
+    assert (code, out) == (1, "") and "verification failed" in err
+    assert path.read_text() == want
 
 
 def test_sic_scan(capsys):
@@ -271,6 +320,8 @@ def test_sic_verify_rejects_malformed_file(capsys, tmp_path, change, message):
     ("sylvester:3", "gaussq", "6a5d45dff0732ecbd7085c87d3cd372ed993091a868037868b10492e294aa8f4"),
     ("sylvester:3", "gf:2305843009213693951",
      "fbea79d9c89f04c02091382d6120d2d4aff1e405048a2f7912e43a4810a8be51"),
+    ("sylvester:5", "gf:3", "feb772282348027a991c345d3a9eef3dc7c61ab55b138005d50e78a24ca03916"),
+    ("paley2:17", "gf:7", "3de82074aab37bb0ca023d66ea4f6dc5209bad93270d2a5ed878b355d2692a2d"),
 ])
 def test_sic_build_output_bytes(capsys, recipe, ring, digest):
     code, out, _ = run(capsys, "sic", "build", "--had", recipe, "--ring", ring, "--json")

@@ -1,13 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eqlines import exactalg
 from eqlines.exactalg import (
+    FLOAT_EXACT,
     Components,
     Ring,
     RingError,
     RingSpec,
+    gram_bound,
     mat_rank,
     rank_fraction_free,
 )
@@ -238,3 +244,59 @@ def test_component_dtype_in_characteristic_zero():
     assert big.re.dtype == object and big.re[0, 0] == 2**40
     q = Ring("gaussq")
     assert Components.of([[q.el(1, 0) / q.el(3)]], q).re.dtype == object
+
+
+def _float64_edge(shape):
+    """The largest component size whose gram_bound is within 2^53."""
+    return math.isqrt(FLOAT_EXACT // (2 * max(shape)))
+
+
+def _prime_3mod4(start, step):
+    q = start
+    while q % 4 != 3 or not sympy.isprime(q):
+        q += step
+    return q
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_gram_matches_python_integers(data):
+    """Components.gram of int64 components, float64 or int64 as gram_bound
+    says, equals the product of the same components as Python integers,
+    also at and just past the float64 bound."""
+    shape = (data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
+    edge = _float64_edge(shape)
+    if data.draw(st.booleans()):
+        ring = Ring("gauss")
+        top = data.draw(st.sampled_from([edge, edge + 1, 4 * edge]) | st.integers(1, 50))
+        lo = -top
+    else:
+        p = data.draw(st.sampled_from([
+            3, 7, _prime_3mod4(edge + 1, -1), _prime_3mod4(edge + 2, 1)]))
+        ring, top, lo = Ring(f"gf:{p}"), p - 1, 0
+    entry = st.sampled_from([lo, top]) | st.integers(lo, top)
+    re, im = (np.array(data.draw(st.lists(entry, min_size=shape[0] * shape[1],
+                                          max_size=shape[0] * shape[1])),
+                       dtype=np.int64).reshape(shape) for _ in range(2))
+    re[0, 0] = top
+    c = Components(re, im, ring)
+    exact = Components(re.astype(object), im.astype(object), ring)
+    for got, want in [(c.gram(), exact.gram()), (c.T.gram(), exact.T.gram())]:
+        for a, b in zip(got, want):
+            assert a.dtype == np.int64 and np.array_equal(a, b)
+
+
+def test_gram_tier_follows_gram_bound(monkeypatch):
+    used = []
+    float64_gram = exactalg._gram_float64
+    monkeypatch.setattr(exactalg, "_gram_float64",
+                        lambda re, im: used.append(re) or float64_gram(re, im))
+    r = Ring("gauss")
+    edge = _float64_edge((2, 3))
+    for top, in_float64 in [(edge, True), (-edge - 1, False), (3, True)]:
+        used.clear()
+        re = np.array([[top, 1, 0], [2, -1, 1]], dtype=np.int64)
+        c = Components(re, re[::-1].copy(), r)
+        assert (gram_bound(re.shape, abs(top)) <= FLOAT_EXACT) == in_float64
+        c.gram()
+        assert len(used) == in_float64

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
-from eqlines.exactalg import Components, Ring, exact_dtype
+from eqlines.exactalg import FLOAT_EXACT, Components, Ring, exact_dtype, gram_bound
 from eqlines.hadamard import SignMatrix, from_recipe, paley, sylvester
 from eqlines.sic import (
     SicError,
@@ -220,9 +220,9 @@ def _tampered(s, u, t, change):
     return SicSystem(s.d, s.ring, Components(re, im, s.ring), s.source)
 
 
-@pytest.mark.parametrize("p", LARGE_PRIMES)
-def test_large_prime_systems_verify_exactly(p):
-    s = construct_sic(sylvester(3), Ring(f"gf:{p}"))
+def _assert_verifies_exactly(s):
+    """s passes, its phase table is the closed form, and tampered copies
+    fail axioms a and b."""
     assert verify_sic(s).passed
     assert np.array_equal(s.phases, gram_phase_matrix(s.source))
     i = s.ring.i
@@ -234,6 +234,11 @@ def test_large_prime_systems_verify_exactly(p):
     assert (v.passed, v.failed_axiom) == (False, "b") and 5 in v.witness
     with pytest.raises(SicError, match=r"is not 4 i\^k"):
         _tampered(s, 5, 2, lambda x: x * i).phases
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_large_prime_systems_verify_exactly(p):
+    _assert_verifies_exactly(construct_sic(sylvester(3), Ring(f"gf:{p}")))
 
 
 def _prime_3mod4(start, step):
@@ -256,3 +261,15 @@ def test_component_dtype_threshold():
         assert Components.of(rows, s.ring).re.dtype == dtype
         assert verify_sic(s).passed
         assert not verify_sic(_tampered(s, 0, 0, lambda x: x + s.ring.one)).passed
+
+
+def test_float64_gram_threshold():
+    # 64 x 8 components over GF(p^2): gram_bound 128 (p - 1)^2 reaches 2^53
+    # exactly when p - 1 reaches 2^23; below it the Gram matrices are float64
+    # products, above it int64 ones
+    below, above = _prime_3mod4(2**23 + 1, -1), _prime_3mod4(2**23 + 2, 1)
+    for p, in_float64 in [(below, True), (above, False)]:
+        s = construct_sic(sylvester(3), Ring(f"gf:{p}"))
+        assert s.vectors.re.dtype == np.int64
+        assert (gram_bound(s.vectors.re.shape, p - 1) <= FLOAT_EXACT) == in_float64
+        _assert_verifies_exactly(s)
