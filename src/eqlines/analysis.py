@@ -157,7 +157,11 @@ class SicAutParts:
     base_group is the subgroup acting with eps = +1 and trivial field
     automorphism; coset_witness maps each attempted (eps, gamma) label
     to a representative permutation of [d] x [d], or None when that
-    coset is empty."""
+    coset is empty.  An empty coset is proven by an isomorphism search
+    onto the recolored phase table that exhausts its tree, pruned by the
+    base group's lifted generators: they are automorphisms of the
+    recolored cover graph too, and pruning by them skips only subtrees
+    that hold no map (see autgraph._Search)."""
 
     base_group: PermGroup
     coset_witness: dict[tuple[int, str], Permutation | None] = field(default_factory=dict)
@@ -192,8 +196,10 @@ def sic_aut_parts(s: SicSystem, budget: int = DEFAULT_BUDGET) -> SicAutParts:
     if s.ring.char == 3:
         labels += [(-1, "id"), (-1, "conj")]
     for eps, gamma in labels:
+        # a recoloring is a bijection on colors, so the recolored graph has
+        # the base graph's automorphisms, and they prune its search
         f = find_isomorphism(graph, Recoloring(eps, gamma).apply(graph.edge_color),
-                             graph.vertex_color, budget)
+                             graph.vertex_color, budget, lifted.generators)
         parts.coset_witness[(eps, gamma)] = None if f is None else project_fiber(f, 4)
     return parts
 

@@ -29,9 +29,21 @@ where both sides individualize the same vertex, walks the first graph's
 cached levels; every subtree off it is an isomorphism search onto the
 first-path leaf.  Their roots are tried going back up the path, pruned
 by an orbit closure kept up to date as generators are found.
+
+Every node of a search is pruned by the automorphisms of the second
+graph found so far (McKay and Piperno's automorphism pruning): once a
+child u of a node has no map below it, neither has g.u for any such
+automorphism g that fixes the second graph's path to the node
+pointwise, so the whole orbit of u under those automorphisms is skipped
+without being refined.  The search still reaches the same first leaf,
+so every map it returns and every generator list is what the unpruned
+search gives (the proof is in _Search's docstring).  An automorphism
+search prunes by the generators it has found; find_isomorphism also
+accepts known automorphisms of its target graph.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,7 +279,28 @@ class _Search:
     round.  Every child still gets exactly the partition a refinement of
     its own would give it, and is ticked and searched in the same order.
     find_automorphisms (B is A) walks A's levels down the first path and
-    searches every subtree off it as find_isomorphism searches the tree."""
+    searches every subtree off it as find_isomorphism searches the tree.
+
+    gens holds automorphisms of B: the generators found so far, or those
+    given to find_isomorphism.  A node's path is the list of vertices
+    individualized in B from the root down to it.  When a child u of the
+    node has no map below it, the orbit of u under the automorphisms in
+    gens that fix the path pointwise joins the node's failed set, and a
+    child in that set is neither refined nor ticked.  Proof: take such
+    an automorphism g.  B's refinement is label-equivariant: it reads
+    only B's vertex colors and MB, which g preserves, and the class ids
+    it hands out are the indices of A's cached keys, which do not depend
+    on B's labels.  g fixes the path, so it maps the node's target cell
+    onto itself, and individualizing g.u gives B the partition that
+    individualizing u gives, relabeled by g, at this depth and every
+    depth below.  So g maps the subtree at u onto the subtree at g.u: a
+    leaf map f below u becomes g f below g.u, and one passes the leaf
+    check iff the other does.  Hence a map exists below g.u iff one
+    exists below u.  A pruned child therefore holds no map, and skipping
+    it cannot change which child first yields one: the map the search
+    returns is the unpruned search's.  The generators of an automorphism
+    search are those maps, so they and the first path's orbit pruning,
+    which reads them, are unchanged too."""
 
     def __init__(self, ga: ColoredDigraph, eb: np.ndarray, vcolb: np.ndarray,
                  budget: int, name: str):
@@ -358,21 +391,25 @@ class _Search:
             out[i] = (level, x)
         return out
 
-    def _children(self, level: _Level, clsB, ws):
-        """Tick and yield the refined children of a node for the candidates
-        ws, in order (None for a child that fails refinement).  The first
+    def _children(self, level: _Level, clsB, ws, failed: set):
+        """Tick and yield (w, refined child) for the candidates w of ws,
+        in order (None for a child that fails refinement), except those
+        in failed, a set the caller extends between children.  The first
         child is refined alone, so a node whose first child leads to a
-        result pays for no batch.  The others follow in batches of at most
-        _BATCH_ENTRIES entries, each refined when the search asks for its
-        first child."""
+        result pays for no batch.  The others follow in batches of at
+        most _BATCH_ENTRIES entries, each built from the candidates not
+        yet failed and refined when the search asks for its first child;
+        a candidate that fails after its batch was refined is skipped
+        unticked."""
         sig = self.MB @ _mix(clsB)
         step = max(1, _BATCH_ENTRIES // self.n)
-        start, stop = 0, 1
-        while start < len(ws):
-            for child in self._refine_siblings(level, clsB, sig, ws[start:stop]):
-                self._tick()
-                yield child
-            start, stop = stop, stop + step
+        todo, size = iter(ws.tolist()), 1
+        while batch := list(itertools.islice((w for w in todo if w not in failed), size)):
+            for w, child in zip(batch, self._refine_siblings(level, clsB, sig, batch)):
+                if w not in failed:
+                    self._tick()
+                    yield w, child
+            size = step
 
     def _leaf(self, clsA, clsB):
         inv_b = np.argsort(clsB)
@@ -388,28 +425,14 @@ class _Search:
                 f"{self.name} exceeded its budget of {self.budget} search nodes "
                 f"on a {self.n}-vertex graph after {self.nodes} nodes")
 
-    # -- isomorphism: first full map wins ---------------------------------
-    def find_isomorphism(self):
-        self._tick()
-        return self._isomorphism(self._refine())
+    # -- pruning by automorphisms of B -------------------------------------
+    def _fixing(self, path):
+        """The automorphisms in gens that fix every vertex of path."""
+        return [g for g in self.gens if all(g[x] == x for x in path)]
 
-    def _isomorphism(self, state):
-        if state is None:
-            return None
-        level, clsB = state
-        if level.ncls == self.n:
-            return self._leaf(level.cls, clsB)
-        for child in self._children(level, clsB, np.flatnonzero(clsB == level.cell)):
-            f = self._isomorphism(child)
-            if f is not None:
-                return f
-        return None
-
-    # -- automorphisms: generators of the full group ----------------------
-    def _orbit(self, seeds, base, reach):
+    def _orbit(self, seeds, fixing, reach):
         """Add to reach, a union of orbits, the closure of seeds under the
-        found generators fixing base pointwise; returns reach."""
-        fixing = [g for g in self.gens if all(g[x] == x for x in base)]
+        automorphisms fixing; returns reach."""
         frontier = [v for v in seeds if v not in reach]
         reach.update(frontier)
         while frontier:
@@ -421,6 +444,30 @@ class _Search:
                     frontier.append(u)
         return reach
 
+    # -- isomorphism: first full map wins ---------------------------------
+    def find_isomorphism(self):
+        self._tick()
+        return self._isomorphism(self._refine(), [])
+
+    def _isomorphism(self, state, path):
+        """The first map below a node, or None; path is B's path to the
+        node.  A child that yields no map fails its orbit under the
+        automorphisms fixing the path (see the class docstring)."""
+        if state is None:
+            return None
+        level, clsB = state
+        if level.ncls == self.n:
+            return self._leaf(level.cls, clsB)
+        failed, fixing = set(), self._fixing(path)
+        for u, child in self._children(level, clsB, np.flatnonzero(clsB == level.cell),
+                                       failed):
+            f = self._isomorphism(child, path + [u])
+            if f is not None:
+                return f
+            self._orbit([u], fixing, failed)
+        return None
+
+    # -- automorphisms: generators of the full group ----------------------
     def find_automorphisms(self):
         """Append generators of A's automorphism group to gens; B must be A
         (graph_automorphisms is the only caller).  On the first path both
@@ -442,21 +489,23 @@ class _Search:
             # found; each candidate is refined alone, as the orbits change
             # between them
             tried = [level.b]
-            reach = self._orbit(tried, base, set())
+            fixing = self._fixing(base)
+            reach = self._orbit(tried, fixing, set())
             ngens = len(self.gens)
             for w in np.flatnonzero(level.cls == level.cell).tolist():
                 if len(self.gens) > ngens:
                     ngens = len(self.gens)
-                    reach = self._orbit(tried, base, set())
+                    fixing = self._fixing(base)
+                    reach = self._orbit(tried, fixing, set())
                 if w in reach:
                     continue
                 self._tick()
                 [child] = self._refine_siblings(level, level.cls, sig, [w])
-                f = self._isomorphism(child)
+                f = self._isomorphism(child, base + [w])
                 if f is not None:
                     self.gens.append(f)
                 tried.append(w)
-                self._orbit([w], base, reach)
+                self._orbit([w], fixing, reach)
 
 
 def graph_automorphisms(graph: ColoredDigraph, budget: int = 10 ** 7) -> PermGroup:
@@ -471,10 +520,20 @@ def graph_automorphisms(graph: ColoredDigraph, budget: int = 10 ** 7) -> PermGro
 
 
 def find_isomorphism(graph: ColoredDigraph, eb: np.ndarray, vcolb: np.ndarray,
-                     budget: int = 10 ** 7) -> Permutation | None:
+                     budget: int = 10 ** 7, automorphisms=()) -> Permutation | None:
     """A single color isomorphism from graph onto the digraph with edge
-    colors eb and vertex colors vcolb, or None."""
+    colors eb and vertex colors vcolb, or None.  automorphisms are known
+    automorphisms (Permutations) of that target digraph: the search is
+    pruned by them and returns the same map as without them.  Each is
+    checked against eb and vcolb first, and GraphError is raised for one
+    that is not an automorphism."""
     s = _Search(graph, eb, vcolb, budget, "find_isomorphism")
+    for p in automorphisms:
+        g = p.img.astype(np.int64)
+        if not (g.size == graph.n and np.array_equal(vcolb[g], vcolb)
+                and np.array_equal(eb[np.ix_(g, g)], eb)):
+            raise GraphError("a given permutation is not an automorphism of the target graph")
+        s.gens.append(g)
     f = s.find_isomorphism()
     return None if f is None else Permutation(f)
 

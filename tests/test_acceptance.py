@@ -156,16 +156,15 @@ def test_criterion_02_hoggar_sandwich(hoggar):
 
 def test_criterion_03_closed_form_gram(gram_suite):
     for h, ring, s in gram_suite:
-        d = h.d
-        gre, gim = s.vectors.gram()
-        a = ring.el(12)
-        phase = gram_phase_matrix(h)
-        for u in range(d * d):
-            assert ring.el(gre[u, u], gim[u, u]) == a
-            for v in range(d * d):
-                if u != v:
-                    cf = ring.el(4) * ring.i_power(int(phase[u, v]))
-                    assert ring.el(gre[u, v], gim[u, v]) == cf
+        gre, gim = s.vectors.gram()  # reduced mod p
+        # the ring's own (re, im) of 4 i^k for k = 0..3, taken at every
+        # entry's closed-form exponent, and of 12 on the diagonal
+        values = [ring.el(4) * ring.i_power(k) for k in range(4)]
+        want = np.array([[int(c.re) for c in values], [int(c.im) for c in values]])
+        want = want[:, gram_phase_matrix(h)]
+        diag = np.arange(h.d ** 2)
+        want[:, diag, diag] = [[int(ring.el(12).re)], [int(ring.el(12).im)]]
+        assert np.array_equal(np.stack([gre, gim]), want)
     _ok(3, f"({len(gram_suite)} pairs)")
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from sympy.combinatorics.perm_groups import PermutationGroup
 
+import eqlines.analysis as analysis
 from eqlines.analysis import (
     AnalysisError,
     EquivalenceWitness,
@@ -18,7 +19,7 @@ from eqlines.analysis import (
     weak_equiv_to_strong_sic_witness,
 )
 from eqlines.exactalg import Ring
-from eqlines.hadamard import SignMatrix, sylvester
+from eqlines.hadamard import SignMatrix, paley, sylvester
 from eqlines.permgroup import Permutation
 from eqlines.sic import construct_sic, verify_sic
 
@@ -252,3 +253,26 @@ def test_tilde_strong_small():
     g = tilde_strong_aut(H1)
     assert g.n == 4
     assert g.order() == 24
+
+
+def test_order20_cosets_seeded_with_the_base_group(monkeypatch):
+    # paley1:19 over GF(9): both eps = -1 cosets are empty, and each took
+    # 1,601 nodes to refute before the coset searches were pruned by the
+    # base group; now every coset search fits in 10 nodes
+    real = analysis.find_isomorphism
+
+    def capped(graph, eb, vcolb, budget, automorphisms):
+        return real(graph, eb, vcolb, 10, automorphisms)
+
+    monkeypatch.setattr(analysis, "find_isomorphism", capped)
+    parts = sic_aut_parts(construct_sic(paley(19, "I"), Ring("gf:3")))
+    assert parts.base_group.order() == 3420
+    assert parts.coset_witness[(-1, "id")] is None
+    assert parts.coset_witness[(-1, "conj")] is None
+    assert parts.coset_witness[(1, "conj")] is not None
+
+
+@pytest.mark.slow
+def test_order20_tilde_group_within_10000_nodes():
+    # 80,323 nodes without automorphism pruning, 9,343 with it
+    assert tilde_strong_aut(paley(19, "I"), budget=10_000).order() == 6840

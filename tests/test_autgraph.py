@@ -22,7 +22,7 @@ from eqlines.autgraph import (
 from eqlines.exactalg import Ring
 from eqlines.hadamard import SignMatrix, from_recipe, sylvester
 from eqlines.permgroup import Permutation
-from eqlines.sic import construct_sic
+from eqlines.sic import build_tilde, construct_sic
 
 
 def _path_graph(n):
@@ -324,8 +324,8 @@ class _Lockstep(_Search):
     of extending it.  Only the first path of an automorphism search,
     which refines nothing, walks the cached levels under test."""
 
-    def _orbit(self, seeds, base, reach):
-        reach |= super()._orbit(list(reach) + list(seeds), base, set())
+    def _orbit(self, seeds, fixing, reach):
+        reach |= super()._orbit(list(reach) + list(seeds), fixing, set())
         return reach
 
     def _refine(self):
@@ -398,9 +398,10 @@ def _differential_graphs():
         for mode, nodes in (("weak", (43, 1)), ("strong", (13, 1))):
             yield (f"{recipe} {mode}",
                    encode_phased_matrix_graph(from_recipe(recipe), mode), nodes)
-    # most nodes of this search are leaf candidates that fail refinement
+    # most nodes of this search are leaf candidates that fail refinement;
+    # automorphism pruning skips all but 397 of the 3165 nodes it had
     yield ("paley1:19 weak", encode_phased_matrix_graph(from_recipe("paley1:19"), "weak"),
-           (3165, 1))
+           (397, 1))
 
 
 def _isomorphism_runs(graph, eb, nodes):
@@ -437,3 +438,93 @@ def test_refuted_recoloring_matches_lockstep():
     # child of the root fails refinement: the search refines 256 siblings
     g = encode_sic_graph(construct_sic(sylvester(3), Ring("gf:3")).phases)
     assert _isomorphism_runs(g, Recoloring(-1, "id").apply(g.edge_color), 257) is None
+
+
+class _Unpruned(_Search):
+    """Reference search that prunes nothing below the first path of an
+    automorphism search: every child of every node is searched."""
+
+    def _isomorphism(self, state, path):
+        if state is None:
+            return None
+        level, clsB = state
+        if level.ncls == self.n:
+            return self._leaf(level.cls, clsB)
+        for u, child in self._children(level, clsB, np.flatnonzero(clsB == level.cell),
+                                       set()):
+            f = self._isomorphism(child, path + [u])
+            if f is not None:
+                return f
+        return None
+
+
+def _pruning_cases():
+    for name, graph, _ in _differential_graphs():
+        yield pytest.param(graph, id=name)
+    for recipe in ("paley1:31", "paley2:17"):
+        yield pytest.param(encode_phased_matrix_graph(from_recipe(recipe), "weak"),
+                           id=f"{recipe} weak")
+    for recipe in ("sylvester:3", "paley1:11"):
+        yield pytest.param(encode_phased_matrix_graph(build_tilde(from_recipe(recipe)), "strong"),
+                           id=f"{recipe} Ht")
+
+
+@pytest.mark.parametrize("graph", list(_pruning_cases()))
+def test_pruning_keeps_generators(graph):
+    runs = []
+    for cls in (_Search, _Unpruned):
+        s = cls(graph, graph.edge_color, graph.vertex_color, 10 ** 7, "graph_automorphisms")
+        s.find_automorphisms()
+        runs.append(s)
+    pruned, unpruned = runs
+    assert pruned.nodes <= unpruned.nodes
+    assert len(pruned.gens) == len(unpruned.gens) > 0
+    for a, b in zip(pruned.gens, unpruned.gens):
+        assert np.array_equal(a, b)
+
+
+def _hoggar_cover():
+    return encode_sic_graph(construct_sic(sylvester(3), Ring("gf:3")).phases)
+
+
+@pytest.mark.parametrize("gamma", ["id", "conj"])
+def test_seeded_refutation_takes_few_nodes(gamma):
+    # Hoggar over GF(9) has no eps = -1 coset: unseeded, the search
+    # exhausts 257 nodes (test_refuted_recoloring_matches_lockstep); with
+    # the base group's generators the root's children fall in one orbit
+    g = _hoggar_cover()
+    eb = Recoloring(-1, gamma).apply(g.edge_color)
+    gens = graph_automorphisms(g).generators
+    assert find_isomorphism(g, eb, g.vertex_color, budget=257) is None
+    with pytest.raises(BudgetExceeded):
+        find_isomorphism(g, eb, g.vertex_color, budget=256)
+    assert find_isomorphism(g, eb, g.vertex_color, budget=3, automorphisms=gens) is None
+
+
+@pytest.mark.parametrize("eps,gamma", [(-1, "id"), (1, "conj"), (-1, "conj")])
+def test_seeded_search_finds_the_unseeded_witness(eps, gamma):
+    g = encode_sic_graph(construct_sic(sylvester(1), Ring("gf:3")).phases)
+    eb = Recoloring(eps, gamma).apply(g.edge_color)
+    plain = find_isomorphism(g, eb, g.vertex_color)
+    seeded = find_isomorphism(g, eb, g.vertex_color,
+                              automorphisms=graph_automorphisms(g).generators)
+    assert plain is not None and seeded is not None
+    assert np.array_equal(plain.img, seeded.img)
+
+
+def test_seeded_search_rejects_a_non_automorphism():
+    g = _hoggar_cover()
+    eb = Recoloring(-1, "id").apply(g.edge_color)
+    gens = list(graph_automorphisms(g).generators)
+    # swapping two fibers is no automorphism of Hoggar's cover graph
+    swap = Permutation(np.r_[4:8, 0:4, 8:g.n])
+    with pytest.raises(GraphError, match="not an automorphism"):
+        find_isomorphism(g, eb, g.vertex_color, automorphisms=gens + [swap])
+    # nor is a permutation of the wrong degree
+    with pytest.raises(GraphError, match="not an automorphism"):
+        find_isomorphism(g, eb, g.vertex_color, automorphisms=[Permutation.identity(4)])
+    # vertex colors are checked too
+    vcol = g.vertex_color.copy()
+    vcol[:4] = 1
+    with pytest.raises(GraphError, match="not an automorphism"):
+        find_isomorphism(g, eb, vcol, automorphisms=gens)

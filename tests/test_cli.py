@@ -154,6 +154,14 @@ def test_budget_exit_code(capsys):
     assert "graph_automorphisms exceeded its budget of 5 search nodes" in err
 
 
+def test_pruned_search_fits_a_small_budget(capsys):
+    # without automorphism pruning this search takes 14,079 nodes
+    code, out, _ = run(capsys, "aut", "hadamard", "--had", "paley1:31",
+                       "--strength", "weak", "--budget", "2000", "--json")
+    assert code == 0
+    assert json.loads(out)["order"] == "14880"
+
+
 @pytest.mark.parametrize("budget", ["abc", "0"])
 def test_budget_must_be_positive(capsys, budget):
     code, out, err = run(capsys, "aut", "tilde", "--had", "sylvester:1", "--budget", budget)
@@ -337,6 +345,31 @@ def test_aut_hadamard_output_bytes(capsys):
     assert code == 0
     assert (hashlib.sha256(out.encode()).hexdigest()
             == "61861a50f06ca8abbde614b9a90b8831a74bf864d91f4a207e3cc4f23fc33a41")
+
+
+# the same for searches where automorphism pruning skips subtrees, as
+# recorded before it was added: the weak groups of wide Hadamard matrices,
+# a strong group of Ht, and (slow) the order-20 line-system groups, whose
+# two eps = -1 cosets are empty
+@pytest.mark.parametrize("argv,digest", [
+    (["aut", "hadamard", "--had", "sylvester:5", "--strength", "weak"],
+     "a12a5b57f356de81a4e434dd7ba52e8895ed3471de62cbe5b582d6da56a526b8"),
+    (["aut", "hadamard", "--had", "paley1:31", "--strength", "weak"],
+     "9e57893e8a52f2cadad4ddce27eb9337c0b7a69c2ca78229ae8a9ef1922b3aed"),
+    (["aut", "hadamard", "--had", "paley2:17", "--strength", "weak"],
+     "01c491dd5956f8fd7f8ca9a492c226dcde3e280d3600edc93d31f3c36351ed9d"),
+    (["aut", "tilde", "--had", "paley1:11"],
+     "42df99fd07b1c666cf1892e2376b7cd89b30a8061008477d2024e4b93a081291"),
+    pytest.param(
+        ["aut", "sic", "--had", "paley1:19", "--ring", "gf:3", "--strength", "weak"],
+        "26c6cd34a5b7322a4f6b3f3960857f47b725a215e5f34d51ba78d4c952312dfe",
+        marks=pytest.mark.slow),
+], ids=["sylvester:5 weak", "paley1:31 weak", "paley2:17 weak", "tilde paley1:11",
+        "aut sic paley1:19"])
+def test_pruned_search_output_bytes(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # the same for a sandwich: three automorphism searches and the isomorphism
