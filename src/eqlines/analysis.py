@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autgraph import (
+    DEFAULT_BUDGET,
     Recoloring,
     encode_phased_matrix_graph,
     encode_sic_graph,
@@ -30,8 +31,6 @@ from .exactalg import Ring, RingSpec
 from .hadamard import SignMatrix
 from .permgroup import PermGroup, Permutation, iota_embed, subgroup_index
 from .sic import SicSystem, build_tilde, construct_sic
-
-DEFAULT_BUDGET = 10 ** 7
 
 
 class AnalysisError(ValueError):

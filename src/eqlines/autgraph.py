@@ -56,6 +56,9 @@ OMEGA_BASE = 2
 
 _NCODES = 6 * 6
 
+# search nodes one search may explore unless told otherwise
+DEFAULT_BUDGET = 10 ** 7
+
 
 class BudgetExceeded(RuntimeError):
     """Raised when one search explores more nodes than its budget; the
@@ -118,28 +121,40 @@ class Recoloring:
         return self.lut()[edge_color]
 
 
-def encode_sic_graph(phase_table: np.ndarray) -> ColoredDigraph:
-    """Cover graph of a phase table T with values in Z/4.
+def _cover(table, k: int, fiber_colors, adjacent=None) -> ColoredDigraph:
+    """Z/k cover of a square table T over m indices.
 
-    Each index u of T gets a fiber of 4 vertices u*4+a; for u != w the
-    edge (u*4+a, w*4+b) is colored OMEGA_BASE + (T[u,w] + b - a) mod 4.
+    Index u gets a fiber of k vertices u*k+a, colored fiber_colors[u].
+    For u != w the edge (u*k+a, w*k+b) is colored
+    OMEGA_BASE + (T[u,w] + b - a) mod k, or COLOR_NONE where the m x m
+    boolean array adjacent is False; edges within a fiber are
+    COLOR_FIBER and the diagonal is COLOR_NONE.
+    """
+    T = np.asarray(table)
+    m = T.shape[0]
+    if T.shape != (m, m):
+        raise GraphError("phase table must be square")
+    # block[x][a, b]: the k x k block of an entry x = T[u,w] mod k, of a
+    # pair that is not adjacent (x = k), and of a fiber (x = k + 1)
+    a = np.arange(k)
+    block = np.empty((k + 2, k, k), dtype=np.uint8)
+    block[:k] = OMEGA_BASE + (a[:, None, None] + a[None, None, :] - a[None, :, None]) % k
+    block[k] = COLOR_NONE
+    block[k + 1] = np.where(np.eye(k, dtype=bool), COLOR_NONE, COLOR_FIBER)
+    x = T % k if adjacent is None else np.where(adjacent, T % k, k)
+    np.fill_diagonal(x, k + 1)
+    E = block[x].transpose(0, 2, 1, 3).reshape(m * k, m * k)
+    return ColoredDigraph(m * k, np.repeat(np.asarray(fiber_colors, dtype=np.int64), k), E, k)
+
+
+def encode_sic_graph(phase_table: np.ndarray) -> ColoredDigraph:
+    """The Z/4 cover (see _cover) of a phase table T, one vertex color.
+
     Fiber-preserving automorphisms are exactly the pairs (pi, omega)
     with omega in C4^n satisfying T[pi u, pi w] = T[u,w] + w_u - w_w,
     lifted with a global-rotation kernel of order 4.
     """
-    T = np.asarray(phase_table)
-    m = T.shape[0]
-    if T.shape != (m, m):
-        raise GraphError("phase table must be square")
-    n = 4 * m
-    a = np.arange(4)
-    s4 = (a[None, :] - a[:, None]) % 4
-    big = np.repeat(np.repeat(T.astype(np.int16) % 4, 4, axis=0), 4, axis=1)
-    E = (OMEGA_BASE + (big + np.tile(s4, (m, m))) % 4).astype(np.uint8)
-    for u in range(m):
-        E[4 * u:4 * u + 4, 4 * u:4 * u + 4] = COLOR_FIBER
-    np.fill_diagonal(E, COLOR_NONE)
-    return ColoredDigraph(n, np.zeros(n, dtype=np.int64), E, 4)
+    return _cover(phase_table, 4, np.zeros(len(phase_table), dtype=np.int64))
 
 
 def encode_phased_matrix_graph(sign_matrix, mode: str) -> ColoredDigraph:
@@ -149,39 +164,27 @@ def encode_phased_matrix_graph(sign_matrix, mode: str) -> ColoredDigraph:
     for (i, (-1)^s); edge (i,s)-(j,t) for i != j colored by the sign
     (-1)^s (-1)^t H[i,j].  Diagonal entries become vertex colors (they
     are invariant under simultaneous row/column signed permutation).
+    This is the Z/2 cover of T = (H < 0) with diag(T) as fiber colors.
     Lifted automorphisms are the pairs (pi, eps) with
     H[pi i, pi j] = eps_i eps_j H[i,j], with a global-flip kernel of
     order 2.
 
     mode "weak": a bipartite version on row fibers followed by column
     fibers (v_row = i*2+s, v_col = 2d + j*2+t), vertex colors telling
-    the sides apart.  Lifted automorphisms are the quadruples
-    (pi, sigma, eps, eps') with H[pi i, sigma j] = eps_i eps'_j H[i,j],
-    again with an order 2 kernel (flipping both sides at once).
+    the sides apart: the Z/2 cover of [[0, T], [T^T, 0]] with the side
+    as fiber color and no edges between fibers of one side.  Lifted
+    automorphisms are the quadruples (pi, sigma, eps, eps') with
+    H[pi i, sigma j] = eps_i eps'_j H[i,j], again with an order 2
+    kernel (flipping both sides at once).
     """
-    H = sign_matrix.array
-    d = H.shape[0]
-    sgn = np.array([[1, -1], [-1, 1]], dtype=np.int8)
-    prod = np.kron(H.astype(np.int8), sgn)
-    codes = np.where(prod == 1, OMEGA_BASE, OMEGA_BASE + 1).astype(np.uint8)
+    T = (sign_matrix.array < 0).astype(np.int8)
     if mode == "strong":
-        n = 2 * d
-        E = codes
-        for i in range(d):
-            E[2 * i:2 * i + 2, 2 * i:2 * i + 2] = COLOR_FIBER
-        np.fill_diagonal(E, COLOR_NONE)
-        vcol = np.repeat(np.where(H.diagonal() == 1, 0, 1), 2).astype(np.int64)
-        return ColoredDigraph(n, vcol, E, 2)
+        return _cover(T, 2, T.diagonal())
     if mode == "weak":
-        n = 4 * d
-        E = np.zeros((n, n), dtype=np.uint8)
-        E[:2 * d, 2 * d:] = codes
-        E[2 * d:, :2 * d] = codes.T
-        for i in range(2 * d):
-            E[2 * i:2 * i + 2, 2 * i:2 * i + 2] = COLOR_FIBER
-        np.fill_diagonal(E, COLOR_NONE)
-        vcol = np.repeat([0, 1], 2 * d).astype(np.int64)
-        return ColoredDigraph(n, vcol, E, 2)
+        zero = np.zeros_like(T)
+        side = np.repeat([0, 1], len(T))
+        return _cover(np.block([[zero, T], [T.T, zero]]), 2, side,
+                      side[:, None] != side[None, :])
     raise GraphError(f"unknown mode {mode!r}")
 
 
@@ -508,7 +511,7 @@ class _Search:
                 self._orbit([w], fixing, reach)
 
 
-def graph_automorphisms(graph: ColoredDigraph, budget: int = 10 ** 7) -> PermGroup:
+def graph_automorphisms(graph: ColoredDigraph, budget: int = DEFAULT_BUDGET) -> PermGroup:
     """Group of color-preserving vertex automorphisms (as a PermGroup on
     the vertex set).  Every generator has been checked against the full
     edge and vertex color matrices."""
@@ -520,7 +523,7 @@ def graph_automorphisms(graph: ColoredDigraph, budget: int = 10 ** 7) -> PermGro
 
 
 def find_isomorphism(graph: ColoredDigraph, eb: np.ndarray, vcolb: np.ndarray,
-                     budget: int = 10 ** 7, automorphisms=()) -> Permutation | None:
+                     budget: int = DEFAULT_BUDGET, automorphisms=()) -> Permutation | None:
     """A single color isomorphism from graph onto the digraph with edge
     colors eb and vertex colors vcolb, or None.  automorphisms are known
     automorphisms (Permutations) of that target digraph: the search is

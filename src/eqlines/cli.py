@@ -22,9 +22,10 @@ from .analysis import (
     tilde_strong_aut,
     weak_equiv_to_strong_sic_witness,
 )
-from .autgraph import BudgetExceeded
+from .autgraph import DEFAULT_BUDGET, BudgetExceeded
 from .exactalg import Components, Ring, RingError, RingSpec
 from .hadamard import (
+    DEFAULT_ORDER_CAP,
     HadamardError,
     check_modular_hadamard,
     from_recipe,
@@ -272,18 +273,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p, ring=False, budget=False):
-    p.add_argument("--cap", type=int, default=256,
-                   help="largest matrix order to generate")
-    p.add_argument("--json", action="store_true", help="force JSON output")
+def _add_common(p, cap=True, json=True, ring=False, budget=False):
+    if cap:
+        p.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP,
+                       help="largest matrix order to generate")
+    if json:
+        p.add_argument("--json", action="store_true", help="force JSON output")
     p.add_argument("--out", help="write output to a file instead of stdout")
     if ring:
         p.add_argument("--ring", required=True,
                        help="coefficient ring: gf:p, gauss, or gaussq")
     if budget:
         p.add_argument("--budget", type=_positive_int,
-                       default=os.environ.get("EQLINES_BUDGET", "10000000"),
-                       help="search node budget (default: $EQLINES_BUDGET or 10000000)")
+                       default=os.environ.get("EQLINES_BUDGET", str(DEFAULT_BUDGET)),
+                       help="search node budget "
+                            f"(default: $EQLINES_BUDGET or {DEFAULT_BUDGET})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = hsub.add_parser("gen", help="print a matrix from a recipe")
     g.add_argument("recipe", help="sylvester:k, paley1:q, paley2:q, "
                                   "kron:<a>,<b>, or a .had file")
-    _add_common(g)
+    _add_common(g, json=False)
     g.set_defaults(func=_cmd_hadamard_gen)
     c = hsub.add_parser("check", help="verify the Hadamard congruence")
     c.add_argument("recipe")
@@ -315,12 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=_cmd_sic_build)
     v = ssub.add_parser("verify", help="re-verify a saved system")
     v.add_argument("path")
-    _add_common(v)
+    _add_common(v, cap=False)
     v.set_defaults(func=_cmd_sic_verify)
     pr = ssub.add_parser("primes", help="finite characteristics usable for a dimension")
     pr.add_argument("--dim", type=int, required=True)
     pr.add_argument("--bound", type=int, default=1000)
-    _add_common(pr)
+    _add_common(pr, cap=False)
     pr.set_defaults(func=_cmd_sic_primes)
     sc = ssub.add_parser("scan", help="constructible dimensions for a prime")
     sc.add_argument("--prime", type=int, required=True)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import sympy
@@ -34,36 +33,35 @@ class OrderCapError(HadamardError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignMatrix:
-    """Square matrix with entries in {+1, -1}."""
+    """Square matrix with entries in {+1, -1}, held as one read-only int8
+    array (a copy of the array it is built from).  Compared and hashed by
+    identity."""
 
-    entries: tuple[tuple[int, ...], ...]
+    array: np.ndarray
 
     def __post_init__(self):
-        d = len(self.entries)
-        if d == 0:
+        a = np.asarray(self.array)
+        if a.size == 0:
             raise HadamardError("empty matrix")
-        for row in self.entries:
-            if len(row) != d:
-                raise HadamardError("matrix must be square")
-            for v in row:
-                if v not in (1, -1):
-                    raise HadamardError(f"entry {v!r} is not +-1")
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise HadamardError("matrix must be square")
+        # checked before the int8 cast, so that 257 cannot wrap to 1
+        bad = a[(a != 1) & (a != -1)]
+        if bad.size:
+            raise HadamardError(f"entry {bad[0].item()!r} is not +-1")
+        a = a.astype(np.int8)
+        a.setflags(write=False)
+        object.__setattr__(self, "array", a)
 
     @property
     def d(self) -> int:
-        return len(self.entries)
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        a = np.array(self.entries, dtype=np.int8)
-        a.setflags(write=False)
-        return a
+        return self.array.shape[0]
 
     @staticmethod
     def from_array(a) -> "SignMatrix":
-        return SignMatrix(tuple(tuple(int(v) for v in row) for row in np.asarray(a)))
+        return SignMatrix(a)
 
     def trace(self) -> int:
         return int(np.trace(self.array))
@@ -158,31 +156,23 @@ def check_modular_hadamard(m: SignMatrix, modulus: int) -> HadamardCertificate:
 
 
 def render_sign_matrix(m: SignMatrix) -> str:
-    return "\n".join("".join("+" if v > 0 else "-" for v in row) for row in m.entries)
+    text = np.full((m.d, m.d + 1), b"\n", dtype="S1")
+    text[:, :-1] = np.where(m.array > 0, b"+", b"-")
+    return text.tobytes().decode()[:-1]
 
 
 def parse_sign_matrix(text: str) -> SignMatrix:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    """Rows of '+' and '-', one a line; whitespace around them is ignored."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise HadamardError("empty sign-matrix text")
-    d = len(lines[0])
-    rows = []
-    for ln in lines:
-        ln = ln.strip()
-        if len(ln) != d:
-            raise HadamardError("ragged lines in sign-matrix text")
-        row = []
-        for ch in ln:
-            if ch == "+":
-                row.append(1)
-            elif ch == "-":
-                row.append(-1)
-            else:
-                raise HadamardError(f"illegal character {ch!r}")
-        rows.append(tuple(row))
-    if len(rows) != d:
-        raise HadamardError("sign matrix must be square")
-    return SignMatrix(tuple(rows))
+    if len({len(ln) for ln in lines}) != 1:
+        raise HadamardError("ragged lines in sign-matrix text")
+    codes = np.array(lines).view(np.uint32).reshape(len(lines), -1)
+    illegal = codes[(codes != ord("+")) & (codes != ord("-"))]
+    if illegal.size:
+        raise HadamardError(f"illegal character {chr(illegal[0])!r}")
+    return SignMatrix(np.where(codes == ord("+"), 1, -1))
 
 
 def load_sign_matrix(path: str) -> SignMatrix:

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from eqlines.autgraph import (
+    COLOR_FIBER,
+    COLOR_NONE,
+    OMEGA_BASE,
     BudgetExceeded,
     ColoredDigraph,
     GraphError,
@@ -143,6 +146,84 @@ def test_phased_graph_weak_sides_not_swapped():
     for gen in lifted.generators:
         rows = gen.img[:2 * d] // 2
         assert rows.max() < d  # row fibers stay on the row side
+
+
+def _cover_by_loops(n, fiber, vertex_color, color):
+    """The graph of the encoders' docstrings, one edge at a time: color(v, w)
+    for vertices of different fibers, COLOR_FIBER within a fiber and
+    COLOR_NONE on the diagonal."""
+    e = np.zeros((n, n), dtype=np.uint8)
+    for v in range(n):
+        for w in range(n):
+            if v == w:
+                e[v, w] = COLOR_NONE
+            elif v // fiber == w // fiber:
+                e[v, w] = COLOR_FIBER
+            else:
+                e[v, w] = color(v, w)
+    return e, np.array(vertex_color, dtype=np.int64)
+
+
+def _assert_same_graph(g, e, vcol, fiber):
+    assert g.edge_color.dtype == e.dtype and np.array_equal(g.edge_color, e)
+    assert g.vertex_color.dtype == vcol.dtype and np.array_equal(g.vertex_color, vcol)
+    assert g.fiber_size == fiber and g.n == len(vcol)
+
+
+def _encoder_tables():
+    rng = np.random.default_rng(12)
+    yield construct_sic(sylvester(1), Ring("gf:3")).phases
+    yield construct_sic(from_recipe("paley1:7"), Ring("gf:7")).phases
+    yield rng.integers(0, 4, size=(5, 5)).astype(np.int8)
+
+
+@pytest.mark.parametrize("table", list(_encoder_tables()))
+def test_sic_graph_matches_its_formula(table):
+    m = table.shape[0]
+
+    def color(v, w):
+        (u, a), (x, b) = divmod(v, 4), divmod(w, 4)
+        return OMEGA_BASE + (int(table[u, x]) + b - a) % 4
+
+    e, vcol = _cover_by_loops(4 * m, 4, [0] * (4 * m), color)
+    _assert_same_graph(encode_sic_graph(table), e, vcol, 4)
+
+
+def _encoder_matrices():
+    rng = np.random.default_rng(12)
+    yield sylvester(1)
+    yield from_recipe("paley1:3")
+    yield SignMatrix.from_array(np.array([[-1, -1], [1, -1]]))
+    yield SignMatrix.from_array(rng.choice([-1, 1], size=(5, 5)))
+
+
+@pytest.mark.parametrize("h", list(_encoder_matrices()))
+def test_phased_graphs_match_their_formulas(h):
+    H, d = h.array, h.d
+
+    def sign_color(i, s, j, t):
+        # the sign (-1)^s (-1)^t H[i, j]
+        return OMEGA_BASE if (-1) ** (s + t) * int(H[i, j]) == 1 else OMEGA_BASE + 1
+
+    def strong(v, w):
+        (i, s), (j, t) = divmod(v, 2), divmod(w, 2)
+        return sign_color(i, s, j, t)
+
+    diag = [0 if H[i, i] == 1 else 1 for i in range(d) for _ in range(2)]
+    e, vcol = _cover_by_loops(2 * d, 2, diag, strong)
+    _assert_same_graph(encode_phased_matrix_graph(h, "strong"), e, vcol, 2)
+
+    def weak(v, w):
+        if (v < 2 * d) == (w < 2 * d):
+            return COLOR_NONE  # same side
+        if v >= 2 * d:
+            v, w = w, v
+        (i, s), (j, t) = divmod(v, 2), divmod(w - 2 * d, 2)
+        return sign_color(i, s, j, t)
+
+    sides = [0] * (2 * d) + [1] * (2 * d)
+    e, vcol = _cover_by_loops(4 * d, 2, sides, weak)
+    _assert_same_graph(encode_phased_matrix_graph(h, "weak"), e, vcol, 2)
 
 
 def test_recolored_search_on_sic_graph():

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from eqlines.cli import main
+from eqlines.autgraph import DEFAULT_BUDGET
+from eqlines.cli import build_parser, main
 from eqlines.exactalg import Ring
 from eqlines.hadamard import from_recipe, parse_sign_matrix, render_sign_matrix, sylvester
 from eqlines.sic import SicVerdict, construct_sic
@@ -40,6 +41,23 @@ def test_usage_error_is_code_2(capsys):
     assert run(capsys, "hadamard", "gen", "sylvester:abc")[0] == 2
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "sic", "build", "--had", "sylvester:1", "--ring", "gf:5")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sic", "verify", "saved.json", "--cap", "8"],
+    ["sic", "primes", "--dim", "8", "--cap", "8"],
+    ["hadamard", "gen", "sylvester:1", "--json"],
+])
+def test_unread_options_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "unrecognized arguments" in err
+
+
+def test_default_budget_is_the_library_default(monkeypatch):
+    monkeypatch.delenv("EQLINES_BUDGET", raising=False)
+    args = build_parser().parse_args(["aut", "tilde", "--had", "sylvester:1"])
+    assert args.budget == DEFAULT_BUDGET
 
 
 def test_sic_build_and_verify_roundtrip(capsys, tmp_path):

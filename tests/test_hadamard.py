@@ -79,6 +79,11 @@ def test_text_roundtrip():
     assert np.array_equal(again.array, h.array)
 
 
+@pytest.mark.parametrize("text", ["+- \n-+\n", "+-\n-+ \n", " +-\t\n\n\t-+\n"])
+def test_parse_strips_every_line(text):
+    assert parse_sign_matrix(text).array.tolist() == [[1, -1], [-1, 1]]
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(HadamardError):
         parse_sign_matrix("+-\n+\n")
@@ -112,6 +117,18 @@ def test_sign_matrix_validation():
         SignMatrix.from_array(np.array([[1, 0], [1, 1]]))
     with pytest.raises(HadamardError):
         SignMatrix.from_array(np.array([[1, 1, 1], [1, 1, -1]]))
+    # 257 and -255 are 1 and 1 in int8: checked before any cast
+    for wraps in (257, -255):
+        with pytest.raises(HadamardError):
+            SignMatrix.from_array(np.array([[1, wraps], [1, -1]]))
+
+
+def test_sign_matrix_holds_a_read_only_copy():
+    a = np.array([[1, -1], [1, 1]])
+    m = SignMatrix.from_array(a)
+    a[0, 0] = -1
+    assert m.array.dtype == np.int8 and not m.array.flags.writeable
+    assert m.array.tolist() == [[1, -1], [1, 1]]
 
 
 def test_trace():

@@ -51,7 +51,7 @@ def test_construct_matches_elementwise_formula(recipe, ring):
     h, r = from_recipe(recipe), Ring(ring)
     s = construct_sic(h, r)
     d, one_z = h.d, r.one + r.el(-2, -2)
-    rows = [[r.el(h.entries[t][j]) * (one_z if t == i else r.one) for t in range(d)]
+    rows = [[r.el(h.array[t, j]) * (one_z if t == i else r.one) for t in range(d)]
             for i in range(d) for j in range(d)]
     want = Components.of(rows, r)
     for a, b in [(s.vectors.re, want.re), (s.vectors.im, want.im)]:
