@@ -22,7 +22,8 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import sympy
+
+from .primes import is_prime
 
 
 class RingError(ValueError):
@@ -44,7 +45,7 @@ class RingSpec:
     def __post_init__(self):
         if self.kind == FINITE:
             p = self.p
-            if p is None or p < 2 or not sympy.isprime(p):
+            if p is None or not is_prime(p):
                 raise RingError(f"{p!r} is not prime")
             if p == 2:
                 raise RingError("characteristic 2 is not supported")

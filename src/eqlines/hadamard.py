@@ -20,7 +20,8 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
+
+from .primes import is_prime
 
 DEFAULT_ORDER_CAP = 256
 
@@ -102,7 +103,7 @@ def _jacobsthal(q: int) -> np.ndarray:
 
 def paley(q: int, kind: str, cap: int = DEFAULT_ORDER_CAP) -> SignMatrix:
     """Paley I/II Hadamard matrix from the quadratic-residue character on F_q."""
-    if not sympy.isprime(q) or q == 2:
+    if not is_prime(q) or q == 2:
         raise HadamardError(f"{q} is not an odd prime (prime powers unsupported)")
     Q = None
     if kind == "I":
@@ -140,7 +141,7 @@ def kron_product(a: SignMatrix, b: SignMatrix, cap: int = DEFAULT_ORDER_CAP) -> 
 
 def check_modular_hadamard(m: SignMatrix, modulus: int) -> HadamardCertificate:
     """Certify H^T H = d I over Z (modulus 0) or mod an odd prime."""
-    if modulus != 0 and (modulus == 2 or not sympy.isprime(modulus)):
+    if modulus != 0 and (modulus == 2 or not is_prime(modulus)):
         raise HadamardError(f"modulus must be 0 or an odd prime, got {modulus}")
     h = m.array.astype(np.int64)
     g = h.T @ h
@@ -203,5 +204,7 @@ def from_recipe(spec: str, cap: int = DEFAULT_ORDER_CAP) -> SignMatrix:
             return kron_product(a, from_recipe(right, cap), cap)
         raise HadamardError(f"cannot parse kron recipe {spec!r}")
     if spec.endswith(".had") or os.path.sep in spec or os.path.exists(spec):
-        return load_sign_matrix(spec)
+        m = load_sign_matrix(spec)
+        _check_cap(m.d, cap)
+        return m
     raise HadamardError(f"unknown matrix recipe {spec!r}")

@@ -1,18 +1,34 @@
 """Permutations of finite point sets and permutation groups.
 
 Groups are stored as generators.  Exact order, membership and
-transitivity degrees all come from one deterministic stabilizer chain
-(a base and strong generating set; sympy.combinatorics does the
-Schreier-Sims bookkeeping), built lazily on first use and cached on the
+transitivity degrees all come from one stabilizer chain (a base and
+strong generating set), built lazily on first use and cached on the
 group.
+
+The chain is built by deterministic Schreier-Sims (Seress, *Permutation
+Group Algorithms*, 2003, Ch. 4).  Level i holds a base point b_i, its
+basic orbit under the strong generators that fix b_0, ..., b_{i-1}, and
+a transversal: for each orbit point g one element u_g of the level's
+group with u_g(b_i) = g.  Schreier's lemma says that the Schreier
+generators u_{s g}^{-1} s u_g, over all orbit points g and level
+generators s, generate the stabilizer of b_i, and the chain is complete
+once every Schreier generator of every level sifts to the identity
+through the levels below it.  A Schreier generator that does not is
+added as a strong generator, which extends the orbits below, and the
+check resumes at the level where its sift stopped.
+
+Everything is done on int image arrays.  Transversal rows are only ever
+appended, so a Schreier generator keeps its value; and the levels below
+a level only grow, so one that sifted to the identity once is proven for
+good.  Each level therefore sifts only its (orbit point, generator)
+pairs not yet proven, as one numpy batch.
 """
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
-from sympy.combinatorics import Permutation as _SymPerm
-from sympy.combinatorics.perm_groups import PermutationGroup as _SymGroup
 
 
 class PermError(ValueError):
@@ -93,6 +109,138 @@ class Permutation:
         return f"Permutation({self.as_list()})"
 
 
+# Largest number of image entries (pairs x points) sifted in one batch:
+# it bounds the memory of a batch, and a batch stops the level's check at
+# its first residue, so later pairs are not sifted against a chain that
+# is about to grow.
+_BATCH_ENTRIES = 1 << 14
+
+
+class _Level:
+    """One level of a stabilizer chain: base point, basic orbit and
+    transversal, and which Schreier generators are proven."""
+
+    def __init__(self, point: int, n: int):
+        self.point = point
+        self.orbit = np.array([point], dtype=np.intp)
+        self.where = np.full(n, -1, dtype=np.intp)   # point -> orbit index
+        self.where[point] = 0
+        self.u = np.arange(n, dtype=np.intp)[None, :]   # row k: u_{orbit[k]}
+        self.u_inv = self.u.copy()
+        self.gens = np.empty(0, dtype=np.intp)   # indices of strong generators
+        # proven[k, c]: the Schreier generator of (orbit[k], gens[c]) sifts
+        # to the identity through the levels below
+        self.proven = np.zeros((1, 0), dtype=bool)
+
+
+class _StabChain:
+    """Base and strong generating set of the group generated by ``gens``,
+    non-identity image arrays on n points."""
+
+    def __init__(self, gens: Sequence[np.ndarray], n: int):
+        self.identity = np.arange(n, dtype=np.intp)
+        self.strong = np.empty((0, n), dtype=np.intp)
+        self.strong_inv = np.empty((0, n), dtype=np.intp)
+        self.levels: list[_Level] = []
+        for g in gens:
+            self._add_generator(np.asarray(g, dtype=np.intp))
+        i = len(self.levels) - 1
+        while i >= 0:
+            residue = self._first_residue(i)
+            if residue is None:
+                i -= 1
+            else:
+                i = self._add_generator(residue)
+
+    def _add_generator(self, g: np.ndarray) -> int:
+        """Add a non-identity g as a strong generator, at the first level
+        whose base point it moves (a new level if it fixes them all), and
+        to every level above; returns that level."""
+        depth = 0
+        while depth < len(self.levels) and g[self.levels[depth].point] == self.levels[depth].point:
+            depth += 1
+        if depth == len(self.levels):
+            self.levels.append(_Level(int(np.flatnonzero(g != self.identity)[0]), g.size))
+        idx = len(self.strong)
+        self.strong = np.vstack([self.strong, g])
+        g_inv = np.empty_like(g)
+        g_inv[g] = self.identity
+        self.strong_inv = np.vstack([self.strong_inv, g_inv])
+        for level in self.levels[:depth + 1]:
+            level.gens = np.append(level.gens, idx)
+            level.proven = np.hstack([level.proven,
+                                      np.zeros((len(level.orbit), 1), dtype=bool)])
+            self._extend_orbit(level, level.gens[-1:])
+        return depth
+
+    def _extend_orbit(self, level: _Level, new_gens: np.ndarray):
+        """Close the basic orbit under the level's generators, after
+        new_gens were added to them; new points get transversal rows
+        u_{s g} = s u_g and unproven Schreier generators."""
+        frontier, gens = np.arange(len(level.orbit)), new_gens
+        while True:
+            images = self.strong[gens[:, None], level.orbit[frontier][None, :]]
+            fresh = level.where[images] < 0
+            if not fresh.any():
+                return
+            points, first = np.unique(images[fresh], return_index=True)
+            gi, ki = np.nonzero(fresh)
+            gi, ki = gens[gi[first]], frontier[ki[first]]
+            start = len(level.orbit)
+            level.orbit = np.concatenate([level.orbit, points])
+            level.where[points] = np.arange(start, len(level.orbit))
+            level.u = np.vstack([level.u, self.strong[gi[:, None], level.u[ki]]])
+            level.u_inv = np.vstack([level.u_inv,
+                                     level.u_inv[ki[:, None], self.strong_inv[gi]]])
+            level.proven = np.vstack([level.proven,
+                                      np.zeros((len(points), len(level.gens)), dtype=bool)])
+            frontier, gens = np.arange(start, len(level.orbit)), level.gens
+
+    def _sift(self, h: np.ndarray, below: int):
+        """Strip the rows of h through the levels from ``below`` on.
+        Returns the indices of the rows that reach the identity, and one
+        residue of a row that does not (None if every row does): the
+        first row to stop, at the first level where one stops."""
+        rows = np.arange(len(h))
+        residue = None
+        for depth in range(below, len(self.levels)):
+            level = self.levels[depth]
+            k = level.where[h[:, level.point]]
+            out = k < 0
+            if out.any():
+                if residue is None:
+                    residue = h[np.flatnonzero(out)[0]]
+                rows, h, k = rows[~out], h[~out], k[~out]
+            h = level.u_inv[k[:, None], h]
+        moved = (h != self.identity).any(axis=1)
+        if residue is None and moved.any():
+            residue = h[np.flatnonzero(moved)[0]]
+        return rows[~moved], residue
+
+    def _first_residue(self, i: int) -> np.ndarray | None:
+        """Sift level i's unproven Schreier generators, in batches; mark the
+        ones that reach the identity and return the first that does not,
+        or None when the whole level is proven."""
+        level = self.levels[i]
+        ks, cs = np.nonzero(~level.proven)
+        step = max(1, _BATCH_ENTRIES // self.identity.size)
+        for start in range(0, len(ks), step):
+            k, c = ks[start:start + step], cs[start:start + step]
+            su = self.strong[level.gens[c][:, None], level.u[k]]      # s u_g
+            h = level.u_inv[level.where[su[:, level.point]][:, None], su]
+            proven, residue = self._sift(h, i + 1)
+            level.proven[k[proven], c[proven]] = True
+            if residue is not None:
+                return residue
+        return None
+
+    def order(self) -> int:
+        return math.prod(len(level.orbit) for level in self.levels)
+
+    def contains(self, g: np.ndarray) -> bool:
+        return self._sift(np.asarray(g, dtype=np.intp)[None, :], 0)[1] is None
+
+
 class PermGroup:
     """Permutation group on {0, ..., n-1} given by generators."""
 
@@ -107,30 +255,20 @@ class PermGroup:
                 raise PermError("generators act on different point sets")
         self.n = n
         self.generators = [g for g in gens if not g.is_identity()]
-        self._sym: _SymGroup | None = None
+        self._chain: _StabChain | None = None
 
-    def _group(self) -> _SymGroup:
-        if self._sym is None:
-            if not self.generators:
-                self._sym = _SymGroup([_SymPerm(list(range(self.n)))])
-            else:
-                self._sym = _SymGroup([_SymPerm(g.as_list()) for g in self.generators])
-            self._sym.schreier_sims()
-        return self._sym
+    def _stab_chain(self) -> _StabChain:
+        if self._chain is None:
+            self._chain = _StabChain([g.img for g in self.generators], self.n)
+        return self._chain
 
     def order(self) -> int:
-        if not self.generators:
-            return 1
-        return int(self._group().order())
+        return self._stab_chain().order()
 
     def contains(self, g: Permutation) -> bool:
         if g.n != self.n:
             raise PermError("point-set mismatch")
-        if g.is_identity():
-            return True
-        if not self.generators:
-            return False
-        return bool(self._group().contains(_SymPerm(g.as_list()), strict=True))
+        return self._stab_chain().contains(g.img)
 
     def orbits(self) -> list[list[int]]:
         """Orbit partition of the point set, each orbit sorted, ordered by
@@ -177,9 +315,7 @@ class PermGroup:
         """
         if k < 1 or k > self.n:
             raise PermError("need 1 <= k <= n")
-        if not self.generators:
-            return self.n == 1
-        sizes = [len(o) for o in self._group().basic_orbits]
+        sizes = [len(level.orbit) for level in self._stab_chain().levels]
         return all((sizes[i] if i < len(sizes) else 1) == self.n - i
                    for i in range(k))
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import sympy
 
 from .exactalg import (
     Components,
@@ -34,9 +33,13 @@ from .hadamard import (
     parse_sign_matrix,
     render_sign_matrix,
 )
+from .primes import is_prime, primes_up_to
 
 # canonical integer values of the three defining constants
 A_INT, B_INT, C_INT = 12, 16, 96
+
+# largest bound applicable_primes sieves up to (a bool array of this size)
+MAX_PRIME_BOUND = 10**7
 
 
 class SicError(ValueError):
@@ -272,14 +275,17 @@ def triple_product(s: SicSystem, u, v, w) -> RingElement:
 
 
 def applicable_primes(d: int, bound: int = 1000) -> tuple[list[int], bool]:
-    """Primes p = 3 (mod 4) with p | (d - 8), up to bound.  For d = 8 every
-    such prime divides 0: returns them all up to bound with all_flag set."""
+    """Primes p = 3 (mod 4) with p | (d - 8), up to bound <= MAX_PRIME_BOUND.
+    For d = 8 every such prime divides 0: returns them all up to bound with
+    all_flag set."""
     if d < 1 or bound < 3:
         raise SicError("need d >= 1 and bound >= 3")
+    if bound > MAX_PRIME_BOUND:
+        raise SicError(f"bound {bound} exceeds the largest bound {MAX_PRIME_BOUND}")
     all_flag = d == 8
     primes = [
         p
-        for p in sympy.primerange(3, bound + 1)
+        for p in primes_up_to(bound)
         if p % 4 == 3 and (all_flag or (d - 8) % p == 0)
     ]
     return primes, all_flag
@@ -294,10 +300,11 @@ def constructible_orders(n_max: int) -> dict[int, str]:
     while 2**k <= n_max:
         best.setdefault(2**k, f"sylvester:{k}")
         k += 1
-    for q in sympy.primerange(3, n_max):
+    primes = primes_up_to(n_max - 1)
+    for q in primes:
         if q % 4 == 3 and q + 1 <= n_max:
             best.setdefault(q + 1, f"paley1:{q}")
-    for q in sympy.primerange(3, n_max):
+    for q in primes:
         if q % 4 == 1 and 2 * (q + 1) <= n_max:
             best.setdefault(2 * (q + 1), f"paley2:{q}")
     changed = True
@@ -316,7 +323,7 @@ def constructible_orders(n_max: int) -> dict[int, str]:
 def scan_dimensions(p: int, n_max: int, cap: int = DEFAULT_ORDER_CAP) -> list[tuple[int, str]]:
     """All d <= n_max with d = 8 (mod p) for which an honest Hadamard matrix
     can be synthesized; each entry carries a replayable recipe."""
-    if p % 4 != 3 or not sympy.isprime(p):
+    if p % 4 != 3 or not is_prime(p):
         raise SicError(f"need a prime p = 3 (mod 4), got {p}")
     if n_max > cap:
         raise OrderCapError(f"scan bound {n_max} exceeds cap {cap}")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from sympy.combinatorics.perm_groups import PermutationGroup
 
 import eqlines.analysis as analysis
+import eqlines.permgroup as permgroup
 from eqlines.analysis import (
     AnalysisError,
     EquivalenceWitness,
@@ -237,16 +237,22 @@ def test_sandwich_invariant_under_weak_transforms(ring, seed):
 
 
 def test_sandwich_transitivity_needs_no_stabilizer(monkeypatch):
-    """Transitivity degrees come from the cached stabilizer chain; no
-    further point stabilizer is built.  The expected degrees were computed
-    with iterated point stabilizers."""
-    def no_stabilizer(*args, **kwargs):
-        raise AssertionError("a point stabilizer was computed")
+    """Indices, orders and transitivity degrees all read one cached
+    stabilizer chain per group; no group builds a second one.  The
+    expected degrees were computed with iterated point stabilizers."""
+    built = []
 
-    monkeypatch.setattr(PermutationGroup, "stabilizer", no_stabilizer)
+    class CountedChain(permgroup._StabChain):
+        def __init__(self, gens, n):
+            super().__init__(gens, n)
+            built.append(self)
+
+    monkeypatch.setattr(permgroup, "_StabChain", CountedChain)
     rep = sandwich_report(construct_sic(sylvester(3), Ring("gauss")))
     assert rep.transitivity == {"iota_weak_H": 1, "strong_sic": 2,
                                 "weak_sic": 2, "strong_tilde": 2}
+    assert len(built) == len(rep.groups) == 4
+    assert {id(g._chain) for g in rep.groups.values()} == {id(c) for c in built}
 
 
 def test_tilde_strong_small():

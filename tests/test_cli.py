@@ -1,5 +1,7 @@
 import hashlib
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from eqlines.autgraph import DEFAULT_BUDGET
 from eqlines.cli import build_parser, main
 from eqlines.exactalg import Ring
 from eqlines.hadamard import from_recipe, parse_sign_matrix, render_sign_matrix, sylvester
-from eqlines.sic import SicVerdict, construct_sic
+from eqlines.sic import MAX_PRIME_BOUND, SicVerdict, construct_sic
 
 
 def run(capsys, *argv):
@@ -54,6 +56,22 @@ def test_unread_options_are_rejected(capsys, argv):
     assert "unrecognized arguments" in err
 
 
+def test_cli_imports_without_sympy():
+    code = "import eqlines.cli, sys; assert 'sympy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+@pytest.mark.parametrize("recipe", ["sylvester:3", "had file"])
+def test_cap_applies_to_every_recipe(capsys, tmp_path, recipe):
+    if recipe == "had file":
+        recipe = str(tmp_path / "s3.had")
+        (tmp_path / "s3.had").write_text(render_sign_matrix(sylvester(3)))
+    code, out, err = run(capsys, "hadamard", "gen", recipe, "--cap", "4")
+    assert (code, out) == (2, "")
+    assert "order 8 exceeds cap 4" in err
+    assert run(capsys, "hadamard", "gen", recipe, "--cap", "8")[0] == 0
+
+
 def test_default_budget_is_the_library_default(monkeypatch):
     monkeypatch.delenv("EQLINES_BUDGET", raising=False)
     args = build_parser().parse_args(["aut", "tilde", "--had", "sylvester:1"])
@@ -89,6 +107,13 @@ def test_sic_primes(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["primes"] == [7] and blob["all_odd_primes"] is False
+
+
+def test_sic_primes_bound_is_limited(capsys):
+    code, out, err = run(capsys, "sic", "primes", "--dim", "8",
+                         "--bound", str(MAX_PRIME_BOUND + 1))
+    assert (code, out) == (2, "")
+    assert f"exceeds the largest bound {MAX_PRIME_BOUND}" in err
 
 
 def test_sic_primes_dim8_plain(capsys):

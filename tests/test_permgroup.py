@@ -1,8 +1,16 @@
+import math
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.combinatorics import Permutation as SymPerm
+from sympy.combinatorics.perm_groups import PermutationGroup as SymGroup
 
+from eqlines.analysis import hadamard_aut, sandwich_report
+from eqlines.exactalg import Ring
+from eqlines.hadamard import from_recipe, sylvester
 from eqlines.permgroup import (
     PermError,
     PermGroup,
@@ -10,6 +18,7 @@ from eqlines.permgroup import (
     iota_embed,
     subgroup_index,
 )
+from eqlines.sic import construct_sic
 
 
 def test_permutation_basics():
@@ -163,3 +172,85 @@ def test_iota_embed():
     assert e.as_list() == [2, 3, 0, 1]
     ident = iota_embed(Permutation.identity(3), Permutation.identity(3))
     assert ident.is_identity()
+
+
+# ---------------------------------------------------------------------------
+# the stabilizer chain against sympy.combinatorics as an oracle
+
+
+def _oracle(g: PermGroup) -> SymGroup:
+    gens = [SymPerm(p.as_list()) for p in g.generators]
+    return SymGroup(gens or [SymPerm(list(range(g.n)))])
+
+
+def _words(g: PermGroup, rng, count: int, length: int = 12) -> list[Permutation]:
+    """Random products of generators: members of g."""
+    out = []
+    for _ in range(count):
+        w = Permutation.identity(g.n)
+        for i in rng.integers(len(g.generators), size=length if g.generators else 0):
+            w = w * g.generators[i]
+        out.append(w)
+    return out
+
+
+def _oracle_degree(sym: SymGroup, n: int) -> int:
+    """Largest k for which the orbit of the tuple (0, ..., k-1) holds all
+    n!/(n-k)! tuples of distinct points (sympy's own transitivity_degree
+    took 23 s on S_12)."""
+    k = 0
+    while k < n and (sym.order() // sym.pointwise_stabilizer(list(range(k + 1))).order()
+                     == math.perm(n, k + 1)):
+        k += 1
+    return k
+
+
+def _agrees_with_oracle(g: PermGroup, candidates: list[Permutation]) -> int:
+    """Compares order, transitivity degree and membership of every
+    candidate with sympy; returns how many candidates are not members."""
+    sym = _oracle(g)
+    assert g.order() == sym.order()
+    assert g.transitivity_degree(cap=g.n) == _oracle_degree(sym, g.n)
+    outside = 0
+    for p in candidates:
+        member = g.contains(p)
+        assert member == sym.contains(SymPerm(p.as_list()))
+        outside += not member
+    return outside
+
+
+@pytest.fixture(scope="module")
+def hoggar_groups():
+    s = construct_sic(sylvester(3), Ring("gauss"))
+    return sandwich_report(s).groups
+
+
+@pytest.mark.parametrize("name", ["iota_weak_H", "strong_sic", "weak_sic", "strong_tilde"])
+def test_hoggar_chain_matches_sympy(hoggar_groups, name):
+    g = hoggar_groups[name]
+    rng = np.random.default_rng(1)
+    # non-members: generators of the larger groups of the chain, and random
+    # permutations
+    others = [p for h in hoggar_groups.values() for p in h.generators]
+    randoms = [Permutation(rng.permutation(g.n)) for _ in range(5)]
+    outside = _agrees_with_oracle(g, _words(g, rng, 10) + others + randoms)
+    assert outside >= 5
+
+
+@pytest.mark.parametrize("recipe", ["sylvester:5", "paley1:31", "paley2:17"])
+def test_wide_weak_hadamard_groups_match_sympy(recipe):
+    g = hadamard_aut(from_recipe(recipe), "weak")
+    rng = np.random.default_rng(2)
+    randoms = [Permutation(rng.permutation(g.n)) for _ in range(5)]
+    assert _agrees_with_oracle(g, _words(g, rng, 10) + randoms) == 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_subgroups_of_small_symmetric_groups_match_sympy(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    gens = data.draw(st.lists(st.permutations(range(n)), max_size=4), label="gens")
+    g = PermGroup([Permutation(p) for p in gens], n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    randoms = [Permutation(rng.permutation(n)) for _ in range(4)]
+    _agrees_with_oracle(g, _words(g, rng, 4) + randoms)
