@@ -20,6 +20,7 @@ import numpy as np
 
 from .autgraph import (
     DEFAULT_BUDGET,
+    FixedSide,
     Recoloring,
     encode_phased_matrix_graph,
     encode_sic_graph,
@@ -164,18 +165,25 @@ class SicAutParts:
 
     base_group: PermGroup
     coset_witness: dict[tuple[int, str], Permutation | None] = field(default_factory=dict)
+    _groups: dict[str, PermGroup] = field(default_factory=dict, init=False, repr=False,
+                                          compare=False)
 
     def group(self, strength: str) -> PermGroup:
         """Strong or weak automorphism group of the line system as a
         permutation group on [d] x [d]: the base group and the witnesses
-        of the realized cosets, those with gamma = id for strong."""
+        of the realized cosets, those with gamma = id for strong.  Each is
+        built once; the weak group's stabilizer chain is grown from the
+        strong group's."""
         if strength not in ("strong", "weak"):
             raise AnalysisError(f"unknown strength {strength!r}")
-        gens = list(self.base_group.generators)
-        for (_, gamma), w in self.coset_witness.items():
-            if w is not None and (strength == "weak" or gamma == "id"):
-                gens.append(w)
-        return PermGroup(gens, self.base_group.n)
+        if strength not in self._groups:
+            gens = list(self.base_group.generators)
+            for (_, gamma), w in self.coset_witness.items():
+                if w is not None and (strength == "weak" or gamma == "id"):
+                    gens.append(w)
+            strong = self.group("strong") if strength == "weak" else None
+            self._groups[strength] = PermGroup(gens, self.base_group.n, strong)
+        return self._groups[strength]
 
 
 def sic_aut_parts(s: SicSystem, budget: int = DEFAULT_BUDGET) -> SicAutParts:
@@ -184,10 +192,15 @@ def sic_aut_parts(s: SicSystem, budget: int = DEFAULT_BUDGET) -> SicAutParts:
     characteristic 3, so it is attempted exactly there; the conjugation
     twist is always attempted (it matters for the weak group only).
 
+    The base search and the coset searches run against one FixedSide of
+    the phase table's cover graph, so its levels are refined once between
+    them; each search keeps its own node count and budget.
+
     s must be a verified system (see sic.verify_sic): the searches read
     the phase table of its vectors (s.phases) and do not check the axioms."""
     graph = encode_sic_graph(s.phases)
-    lifted = graph_automorphisms(graph, budget)
+    side = FixedSide(graph)
+    lifted = graph_automorphisms(side, budget)
     n2 = s.d ** 2
     base = PermGroup([project_fiber(g, 4) for g in lifted.generators], n2)
     parts = SicAutParts(base)
@@ -197,7 +210,7 @@ def sic_aut_parts(s: SicSystem, budget: int = DEFAULT_BUDGET) -> SicAutParts:
     for eps, gamma in labels:
         # a recoloring is a bijection on colors, so the recolored graph has
         # the base graph's automorphisms, and they prune its search
-        f = find_isomorphism(graph, Recoloring(eps, gamma).apply(graph.edge_color),
+        f = find_isomorphism(side, Recoloring(eps, gamma).apply(graph.edge_color),
                              graph.vertex_color, budget, lifted.generators)
         parts.coset_witness[(eps, gamma)] = None if f is None else project_fiber(f, 4)
     return parts

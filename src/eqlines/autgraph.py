@@ -40,6 +40,13 @@ so every map it returns and every generator list is what the unpruned
 search gives (the proof is in _Search's docstring).  An automorphism
 search prunes by the generators it has found; find_isomorphism also
 accepts known automorphisms of its target graph.
+
+Several searches against one first graph share its side of the search,
+a FixedSide: its edge-code matrix, root partition and cached levels.
+The line-system groups run an automorphism search and up to three
+isomorphism searches onto recolorings of one cover graph, and refine
+the cover once per depth between them; each search keeps its own node
+count, budget and pruning generators.
 """
 from __future__ import annotations
 
@@ -263,6 +270,44 @@ class _Level:
     b: int = -1
 
 
+# one random 64-bit label per edge code, the ordered color pair
+# (e[u, v], e[v, u]) as 6 e[u, v] + e[v, u]
+_REDGE = np.random.default_rng(0x5E1FC0DE).integers(0, 2 ** 64, size=_NCODES, dtype=np.uint64)
+
+
+def _edge_codes(edge_color: np.ndarray) -> np.ndarray:
+    """The labeled edge-code matrix M of a digraph: M @ _mix(classes) is a
+    refinement round's signature.  Codes are < 36, so they fit in uint8."""
+    e = np.asarray(edge_color, dtype=np.uint8)
+    return _REDGE[e * 6 + e.T]
+
+
+class FixedSide:
+    """Graph A's side of a search, built once and shared by every search
+    run against A: its edge colors, the edge-code matrix M, its vertex
+    colors as compact class ids (the root partition) and the levels that
+    the searches grow lazily, one per depth (see _Search).  A always
+    individualizes the first vertex of its target cell, so a level
+    depends on the depth alone, whichever search computes it first: an
+    automorphism search and isomorphism searches onto several recolorings
+    of A refine A once per depth between them, and find the same maps as
+    searches with a side of their own."""
+
+    def __init__(self, graph: ColoredDigraph):
+        self.n = graph.n
+        self.edge_color, self.vertex_color = graph.edge_color, graph.vertex_color
+        self.M = _edge_codes(graph.edge_color)
+        self.colors, self.root = np.unique(graph.vertex_color, return_inverse=True)
+        self.ncls = self.colors.size
+        self.levels: list[_Level] = []
+
+    def classes_of(self, vertex_color: np.ndarray) -> np.ndarray:
+        """Root class ids of another graph's vertex colors: A's id of each
+        color, and ncls, an id no vertex of A has, for a color A lacks."""
+        j = np.minimum(np.searchsorted(self.colors, vertex_color), self.ncls - 1)
+        return np.where(self.colors[j] == vertex_color, j, self.ncls)
+
+
 # largest number of entries (children x vertices) refined in one batch; it
 # bounds the batch's arrays, and the refinements wasted when a child early
 # in the batch leads to a result, on graphs of thousands of vertices
@@ -274,8 +319,10 @@ class _Search:
 
     Graph A is the fixed side: at every node it individualizes b, the
     first vertex of its target cell, so A's partition and refinement
-    rounds depend on the depth alone.  They are computed once per depth,
-    the first time the depth is reached.  B is refined for several
+    rounds depend on the depth alone.  They are kept on A's FixedSide
+    (built here from a ColoredDigraph, or shared with other searches) and
+    computed once per depth, the first time any search sharing the side
+    reaches the depth.  B is refined for several
     siblings at once: the children of a node are stacked as rows of one
     class matrix, each round is one matrix product over the rows still
     alive, and a row is dropped as soon as it stops matching A's cached
@@ -305,26 +352,19 @@ class _Search:
     search are those maps, so they and the first path's orbit pruning,
     which reads them, are unchanged too."""
 
-    def __init__(self, ga: ColoredDigraph, eb: np.ndarray, vcolb: np.ndarray,
+    def __init__(self, side: ColoredDigraph | FixedSide, eb: np.ndarray, vcolb: np.ndarray,
                  budget: int, name: str):
-        self.n = ga.n
+        if not isinstance(side, FixedSide):
+            side = FixedSide(side)
+        self.n = side.n
         self.budget = budget
         self.name = name
         self.nodes = 0
-        rng = np.random.default_rng(0x5E1FC0DE)
-        redge = rng.integers(0, 2 ** 64, size=_NCODES, dtype=np.uint64)
-        ea = ga.edge_color.astype(np.int64)
-        ebi = eb.astype(np.int64)
-        self.EA, self.vcolA = ga.edge_color, ga.vertex_color
+        self.EA, self.vcolA, self.MA = side.edge_color, side.vertex_color, side.M
+        self.rootA, self.root_ncls, self.levels = side.root, side.ncls, side.levels
         self.EB, self.vcolB = eb, vcolb
-        self.MA = redge[ea * 6 + ea.T]
-        self.MB = self.MA if eb is ga.edge_color else redge[ebi * 6 + ebi.T]
-        # vertex colors as compact class ids (an order-preserving relabeling)
-        colors = np.concatenate([ga.vertex_color, vcolb]).astype(np.int64)
-        _, root = np.unique(colors, return_inverse=True)
-        self.rootA, self.rootB = root[:self.n], root[self.n:]
-        self.root_ncls = int(root.max(initial=-1)) + 1
-        self.levels: list[_Level] = []
+        self.MB = self.MA if eb is side.edge_color else _edge_codes(eb)
+        self.rootB = side.classes_of(vcolb)
         self.gens: list[np.ndarray] = []
 
     def _fixed_level(self, up: _Level | None) -> _Level:
@@ -418,7 +458,7 @@ class _Search:
         inv_b = np.argsort(clsB)
         f = inv_b[clsA]
         ok = (np.array_equal(self.vcolB[f], self.vcolA)
-              and np.array_equal(self.EB[np.ix_(f, f)], self.EA))
+              and np.array_equal(self.EB.take(f, 0).take(f, 1), self.EA))
         return f if ok else None
 
     def _tick(self):
@@ -511,10 +551,12 @@ class _Search:
                 self._orbit([w], fixing, reach)
 
 
-def graph_automorphisms(graph: ColoredDigraph, budget: int = DEFAULT_BUDGET) -> PermGroup:
+def graph_automorphisms(graph: ColoredDigraph | FixedSide,
+                        budget: int = DEFAULT_BUDGET) -> PermGroup:
     """Group of color-preserving vertex automorphisms (as a PermGroup on
     the vertex set).  Every generator has been checked against the full
-    edge and vertex color matrices."""
+    edge and vertex color matrices.  graph may be a FixedSide, whose
+    levels the search then shares."""
     s = _Search(graph, graph.edge_color, graph.vertex_color, budget,
                 "graph_automorphisms")
     s.find_automorphisms()
@@ -522,10 +564,11 @@ def graph_automorphisms(graph: ColoredDigraph, budget: int = DEFAULT_BUDGET) -> 
     return PermGroup(gens, graph.n)
 
 
-def find_isomorphism(graph: ColoredDigraph, eb: np.ndarray, vcolb: np.ndarray,
+def find_isomorphism(graph: ColoredDigraph | FixedSide, eb: np.ndarray, vcolb: np.ndarray,
                      budget: int = DEFAULT_BUDGET, automorphisms=()) -> Permutation | None:
     """A single color isomorphism from graph onto the digraph with edge
-    colors eb and vertex colors vcolb, or None.  automorphisms are known
+    colors eb and vertex colors vcolb, or None.  graph may be a FixedSide,
+    whose levels the search then shares.  automorphisms are known
     automorphisms (Permutations) of that target digraph: the search is
     pruned by them and returns the same map as without them.  Each is
     checked against eb and vcolb first, and GraphError is raised for one
@@ -533,8 +576,8 @@ def find_isomorphism(graph: ColoredDigraph, eb: np.ndarray, vcolb: np.ndarray,
     s = _Search(graph, eb, vcolb, budget, "find_isomorphism")
     for p in automorphisms:
         g = p.img.astype(np.int64)
-        if not (g.size == graph.n and np.array_equal(vcolb[g], vcolb)
-                and np.array_equal(eb[np.ix_(g, g)], eb)):
+        if not (g.size == s.n and np.array_equal(vcolb[g], vcolb)
+                and np.array_equal(eb.take(g, 0).take(g, 1), eb)):
             raise GraphError("a given permutation is not an automorphism of the target graph")
         s.gens.append(g)
     f = s.find_isomorphism()

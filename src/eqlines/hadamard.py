@@ -193,12 +193,15 @@ def from_recipe(spec: str, cap: int = DEFAULT_ORDER_CAP) -> SignMatrix:
         return paley(int(spec.split(":", 1)[1]), "II", cap)
     if spec.startswith("kron:"):
         rest = spec[5:]
-        # first comma split whose left half parses wins
+        # first comma split whose left half parses wins; a left half that
+        # parses but exceeds the cap ends the search with its cap error
         positions = [i for i, ch in enumerate(rest) if ch == ","]
         for pos in positions:
             left, right = rest[:pos], rest[pos + 1 :]
             try:
                 a = from_recipe(left, cap)
+            except OrderCapError:
+                raise
             except (HadamardError, ValueError):
                 continue
             return kron_product(a, from_recipe(right, cap), cap)

@@ -22,9 +22,17 @@ appended, so a Schreier generator keeps its value; and the levels below
 a level only grow, so one that sifted to the identity once is proven for
 good.  Each level therefore sifts only its (orbit point, generator)
 pairs not yet proven, as one numpy batch.
+
+The same invariant lets a chain be grown.  A group made with a subgroup
+(PermGroup's subgroup argument, generated by some of its generators)
+starts its chain as a copy of the subgroup's completed chain, with every
+pair proven, and adds only the generators the subgroup lacks; the check
+then sifts just the pairs they bring.  The weak automorphism group of a
+line system is grown so from its strong group's chain.
 """
 from __future__ import annotations
 
+import copy
 import math
 from typing import Sequence
 
@@ -135,13 +143,21 @@ class _Level:
 
 class _StabChain:
     """Base and strong generating set of the group generated by ``gens``,
-    non-identity image arrays on n points."""
+    non-identity image arrays on n points, and by ``start``, when given:
+    the completed chain of a subgroup, which the new chain begins as a
+    copy of.  Every Schreier generator that start has proven stays proven
+    (see the module docstring), so only the pairs that gens add are
+    sifted."""
 
-    def __init__(self, gens: Sequence[np.ndarray], n: int):
+    def __init__(self, gens: Sequence[np.ndarray], n: int, start: _StabChain | None = None):
         self.identity = np.arange(n, dtype=np.intp)
-        self.strong = np.empty((0, n), dtype=np.intp)
-        self.strong_inv = np.empty((0, n), dtype=np.intp)
-        self.levels: list[_Level] = []
+        if start is None:
+            self.strong = np.empty((0, n), dtype=np.intp)
+            self.strong_inv = np.empty((0, n), dtype=np.intp)
+            self.levels: list[_Level] = []
+        else:
+            self.strong, self.strong_inv = start.strong.copy(), start.strong_inv.copy()
+            self.levels = copy.deepcopy(start.levels)
         for g in gens:
             self._add_generator(np.asarray(g, dtype=np.intp))
         i = len(self.levels) - 1
@@ -242,9 +258,14 @@ class _StabChain:
 
 
 class PermGroup:
-    """Permutation group on {0, ..., n-1} given by generators."""
+    """Permutation group on {0, ..., n-1} given by generators.
 
-    def __init__(self, generators: Sequence[Permutation], n: int | None = None):
+    subgroup, when given, is a group generated by some of the generators;
+    this group's stabilizer chain is then grown from a copy of the
+    subgroup's chain by the generators it lacks, instead of from scratch."""
+
+    def __init__(self, generators: Sequence[Permutation], n: int | None = None,
+                 subgroup: PermGroup | None = None):
         gens = list(generators)
         if n is None:
             if not gens:
@@ -255,11 +276,20 @@ class PermGroup:
                 raise PermError("generators act on different point sets")
         self.n = n
         self.generators = [g for g in gens if not g.is_identity()]
+        if subgroup is not None and not (subgroup.n == n
+                                         and set(subgroup.generators) <= set(self.generators)):
+            raise PermError("the subgroup's generators are not among the generators")
+        self._subgroup = subgroup
         self._chain: _StabChain | None = None
 
     def _stab_chain(self) -> _StabChain:
         if self._chain is None:
-            self._chain = _StabChain([g.img for g in self.generators], self.n)
+            if self._subgroup is None:
+                self._chain = _StabChain([g.img for g in self.generators], self.n)
+            else:
+                have = set(self._subgroup.generators)
+                self._chain = _StabChain([g.img for g in self.generators if g not in have],
+                                         self.n, self._subgroup._stab_chain())
         return self._chain
 
     def order(self) -> int:
@@ -272,24 +302,26 @@ class PermGroup:
 
     def orbits(self) -> list[list[int]]:
         """Orbit partition of the point set, each orbit sorted, ordered by
-        smallest element."""
-        parent = np.arange(self.n)
+        smallest element.
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in self.generators:
-            for a in range(self.n):
-                ra, rb = find(a), find(int(g.img[a]))
-                if ra != rb:
-                    parent[ra] = rb
-        buckets: dict[int, list[int]] = {}
-        for a in range(self.n):
-            buckets.setdefault(find(a), []).append(a)
-        return sorted(buckets.values(), key=lambda o: o[0])
+        Every point starts labeled by itself, and each pass lowers the
+        label of x to the least label of x, of g(x) for each generator g,
+        and of the point its label names.  A label always names a point
+        of x's orbit no larger than x.  At the fixed point label(x) <=
+        label(g x) for every g, so labels are equal along each cycle of a
+        generator, hence constant on the orbit, where the least point
+        keeps its own."""
+        label = np.arange(self.n)
+        images = np.array([g.img for g in self.generators], dtype=np.intp).reshape(-1, self.n)
+        while True:
+            new = np.minimum(label, label[images].min(axis=0, initial=self.n))
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+        points = np.argsort(label, kind="stable")
+        cuts = np.flatnonzero(np.diff(label[points])) + 1
+        return [orbit.tolist() for orbit in np.split(points, cuts)]
 
     def orbit_sizes(self) -> list[int]:
         return sorted(len(o) for o in self.orbits())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import eqlines.analysis as analysis
+import eqlines.autgraph as autgraph
 import eqlines.permgroup as permgroup
 from eqlines.analysis import (
     AnalysisError,
@@ -18,8 +19,15 @@ from eqlines.analysis import (
     verify_weak_matrix_identity,
     weak_equiv_to_strong_sic_witness,
 )
+from eqlines.autgraph import (
+    Recoloring,
+    encode_sic_graph,
+    find_isomorphism,
+    graph_automorphisms,
+    project_fiber,
+)
 from eqlines.exactalg import Ring
-from eqlines.hadamard import SignMatrix, paley, sylvester
+from eqlines.hadamard import SignMatrix, from_recipe, paley, sylvester
 from eqlines.permgroup import Permutation
 from eqlines.sic import construct_sic, verify_sic
 
@@ -243,8 +251,8 @@ def test_sandwich_transitivity_needs_no_stabilizer(monkeypatch):
     built = []
 
     class CountedChain(permgroup._StabChain):
-        def __init__(self, gens, n):
-            super().__init__(gens, n)
+        def __init__(self, gens, n, start=None):
+            super().__init__(gens, n, start)
             built.append(self)
 
     monkeypatch.setattr(permgroup, "_StabChain", CountedChain)
@@ -276,6 +284,79 @@ def test_order20_cosets_seeded_with_the_base_group(monkeypatch):
     assert parts.coset_witness[(-1, "id")] is None
     assert parts.coset_witness[(-1, "conj")] is None
     assert parts.coset_witness[(1, "conj")] is not None
+
+
+class _Recorded(autgraph._Search):
+    """A search that records itself and the map it finds."""
+
+    runs: list = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.runs.append(self)
+
+    def find_isomorphism(self):
+        self.found = super().find_isomorphism()
+        return self.found
+
+
+def _record(monkeypatch) -> list:
+    """The list that every search started from now on is appended to."""
+    runs = []
+    monkeypatch.setattr(_Recorded, "runs", runs)
+    monkeypatch.setattr(autgraph, "_Search", _Recorded)
+    return runs
+
+
+# node counts of the coset searches, in label order (1, conj), (-1, id),
+# (-1, conj)
+@pytest.mark.parametrize("recipe,nodes", [("sylvester:3", (7, 2, 2)), ("paley1:19", (4, 3, 3))])
+def test_coset_searches_share_one_fixed_side(monkeypatch, recipe, nodes):
+    s = construct_sic(from_recipe(recipe), Ring("gf:3"))
+    runs, rounds = _record(monkeypatch), []
+    real = autgraph._group_classes
+
+    def counted(*args):
+        rounds.append(1)
+        return real(*args)
+
+    # _group_classes runs only in refinement rounds of A's side
+    monkeypatch.setattr(autgraph, "_group_classes", counted)
+    sic_aut_parts(s)
+    assert [r.name for r in runs] == ["graph_automorphisms"] + ["find_isomorphism"] * 3
+    assert tuple(r.nodes for r in runs[1:]) == nodes
+    # one list of A's levels, one level per depth, each refined once
+    # between the four searches
+    levels = runs[0].levels
+    assert all(r.levels is levels for r in runs)
+    assert [level.depth for level in levels] == list(range(len(levels)))
+    assert len(rounds) == sum(len(level.rounds) for level in levels)
+
+
+@pytest.mark.parametrize("recipe,ring", [("sylvester:1", "gf:3"), ("sylvester:3", "gauss"),
+                                         ("sylvester:3", "gf:3"), ("paley1:7", "gf:7")])
+def test_shared_searches_match_standalone_searches(monkeypatch, recipe, ring):
+    """Each search against the shared fixed side visits the nodes, and
+    finds the generators or the map, of the same search run on a graph of
+    its own."""
+    s = construct_sic(from_recipe(recipe), Ring(ring))
+    shared = _record(monkeypatch)
+    parts = sic_aut_parts(s)
+    graph = encode_sic_graph(s.phases)
+    alone = _record(monkeypatch)
+    base = graph_automorphisms(graph)
+    for eps, gamma in parts.coset_witness:
+        f = find_isomorphism(graph, Recoloring(eps, gamma).apply(graph.edge_color),
+                             graph.vertex_color, automorphisms=base.generators)
+        assert parts.coset_witness[eps, gamma] == (None if f is None else project_fiber(f, 4))
+    assert len({id(r.levels) for r in shared}) == 1
+    assert len({id(r.levels) for r in alone}) == len(alone) == len(shared) > 1
+    assert [r.nodes for r in shared] == [r.nodes for r in alone]
+    assert len(shared[0].gens) == len(alone[0].gens) > 0
+    assert all(np.array_equal(a, b) for a, b in zip(shared[0].gens, alone[0].gens))
+    for a, b in zip(shared[1:], alone[1:]):
+        assert (a.found is None) == (b.found is None)
+        assert a.found is None or np.array_equal(a.found, b.found)
 
 
 @pytest.mark.slow

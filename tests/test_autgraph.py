@@ -609,3 +609,14 @@ def test_seeded_search_rejects_a_non_automorphism():
     vcol[:4] = 1
     with pytest.raises(GraphError, match="not an automorphism"):
         find_isomorphism(g, eb, vcol, automorphisms=gens)
+
+
+def test_target_vertex_colors_the_fixed_side_lacks():
+    # B's root classes are read off A's colors; a color A has no vertex of
+    # refutes every map at the root, wherever it sorts among A's colors
+    g = _path_graph(5)
+    g = ColoredDigraph(5, np.array([0, 2, 0, 2, 5]), g.edge_color, 1)
+    for vcolb in ([0, 1, 0, 2, 5], [0, 2, 0, 2, 6], [-1, 2, 0, 2, 5], [0, 2, 0, 5, 5]):
+        assert find_isomorphism(g, g.edge_color, np.array(vcolb), budget=1) is None
+    f = find_isomorphism(g, g.edge_color, g.vertex_color.astype(np.uint8), budget=1)
+    assert f is not None and f.is_identity()

@@ -72,6 +72,15 @@ def test_cap_applies_to_every_recipe(capsys, tmp_path, recipe):
     assert run(capsys, "hadamard", "gen", recipe, "--cap", "8")[0] == 0
 
 
+@pytest.mark.parametrize("recipe", ["kron:sylvester:9,sylvester:1",
+                                    "kron:sylvester:1,sylvester:9"])
+def test_cap_applies_to_either_kron_factor(capsys, recipe):
+    # a factor over the cap is reported as such on either side of the comma
+    code, out, err = run(capsys, "hadamard", "gen", recipe)
+    assert (code, out) == (2, "")
+    assert "order 512 exceeds cap 256" in err
+
+
 def test_default_budget_is_the_library_default(monkeypatch):
     monkeypatch.delenv("EQLINES_BUDGET", raising=False)
     args = build_parser().parse_args(["aut", "tilde", "--had", "sylvester:1"])

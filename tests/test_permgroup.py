@@ -254,3 +254,67 @@ def test_subgroups_of_small_symmetric_groups_match_sympy(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     randoms = [Permutation(rng.permutation(n)) for _ in range(4)]
     _agrees_with_oracle(g, _words(g, rng, 4) + randoms)
+
+
+def _chain_arrays(chain) -> list[np.ndarray]:
+    """Copies of every array of a stabilizer chain, level by level."""
+    out = [chain.strong.copy(), chain.strong_inv.copy()]
+    for level in chain.levels:
+        out += [a.copy() for a in (level.orbit, level.where, level.u, level.u_inv,
+                                   level.gens, level.proven)]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_chain_grown_from_a_subgroup_matches_a_fresh_chain(data):
+    """G = <A u B> with its chain grown from <A>'s: the same order,
+    membership verdicts and transitivity degree as a fresh chain of G and
+    as sympy, and <A>'s own chain is left as it was."""
+    n = data.draw(st.integers(1, 12), label="n")
+    a = [Permutation(p) for p in data.draw(st.lists(st.permutations(range(n)), max_size=3),
+                                           label="A")]
+    b = [Permutation(p) for p in data.draw(st.lists(st.permutations(range(n)), max_size=3),
+                                           label="B")]
+    sub = PermGroup(a, n)
+    sub_order = sub.order()
+    before = _chain_arrays(sub._chain)
+    grown = PermGroup(a + b, n, subgroup=sub)
+    fresh = PermGroup(a + b, n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    candidates = _words(fresh, rng, 4) + [Permutation(rng.permutation(n)) for _ in range(4)]
+    _agrees_with_oracle(grown, candidates)
+    assert grown.order() == fresh.order()
+    assert [grown.contains(p) for p in candidates] == [fresh.contains(p) for p in candidates]
+    assert grown.transitivity_degree(cap=n) == fresh.transitivity_degree(cap=n)
+    # grown from the subgroup's chain, whose strong generators come first
+    k = len(sub._chain.strong)
+    assert np.array_equal(grown._chain.strong[:k], sub._chain.strong)
+    assert sub.order() == sub_order
+    after = _chain_arrays(sub._chain)
+    assert len(after) == len(before)
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+
+def test_subgroup_generators_must_be_among_the_generators():
+    n = 4
+    a4 = PermGroup([Permutation.from_cycles(n, (0, 1, 2)),
+                    Permutation.from_cycles(n, (1, 2, 3))])
+    s4 = PermGroup([Permutation.from_cycles(n, (0, 1)), Permutation.from_cycles(n, (0, 1, 2, 3))])
+    with pytest.raises(PermError, match="not among the generators"):
+        PermGroup(s4.generators, n, subgroup=a4)
+    with pytest.raises(PermError, match="not among the generators"):
+        PermGroup([Permutation.identity(5)], 5, subgroup=a4)
+    grown = PermGroup(a4.generators + s4.generators, n, subgroup=a4)
+    assert grown.order() == 24 and subgroup_index(grown, a4) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_orbits_match_sympy(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    gens = data.draw(st.lists(st.permutations(range(n)), max_size=4), label="gens")
+    g = PermGroup([Permutation(p) for p in gens], n)
+    want = sorted(sorted(int(x) for x in orbit) for orbit in _oracle(g).orbits())
+    assert g.orbits() == want
+    assert all(type(x) is int for orbit in g.orbits() for x in orbit)
