@@ -13,6 +13,15 @@ a + bi -> a - bi.  Three instances are supported:
 Matrices over a ring are kept as (re, im) component arrays, on which the
 sesquilinear Gram matrix (x, y) = x* y of the rows and the exact rank are
 computed.  Over the Gaussian integers rank is taken over the fraction field.
+
+Every Gram matrix comes from one kernel, Components.gram_blocks: blocks of
+rows, against every column or only the upper triangle, in the narrowest
+dtypes that gram_dtypes proves exact.  The upper triangle suffices for a
+check that is symmetric under conjugation, as sic.verify_sic's axiom (b)
+|(x_u, x_v)|^2 = b is: (x_v, x_u) = conj (x_u, x_v), so the failing pairs
+are symmetric, and the first failing pair in row-major order over the whole
+matrix has u < v and is the first one a row-major scan of the upper
+triangle meets.
 """
 from __future__ import annotations
 
@@ -224,7 +233,27 @@ def exact_dtype(bound: int):
     return np.int64 if bound < 2**63 else object
 
 
-# float64 holds every integer of absolute value at most 2^53 exactly
+def narrow_dtype(bound: int):
+    """np.int32 when no value a computation forms exceeds ``bound`` in
+    absolute value and bound < 2^31, so int32 arithmetic is exact; beyond
+    it exact_dtype(bound)."""
+    return np.int32 if bound < 2**31 else exact_dtype(bound)
+
+
+def reduce_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """a mod p in place, for p > 0, and a itself.  a - (a // p) p equals
+    a % p entry for entry, since // rounds toward -infinity, and numpy
+    divides by a scalar several times faster than it takes % of one.  The
+    values formed are below |a| + p in absolute value."""
+    q = a // p
+    q *= p
+    a -= q
+    return a
+
+
+# float32 holds every integer of absolute value at most 2^24 exactly, and
+# float64 every one up to 2^53
+FLOAT32_EXACT = 2**24
 FLOAT_EXACT = 2**53
 
 
@@ -280,68 +309,96 @@ class Components:
     def T(self) -> "Components":
         return Components(self.re.T, self.im.T, self.ring)
 
+    def entry_bound(self) -> int | None:
+        """gram_bound of these components, or of their transpose, when they
+        are numpy integers; None for Python integers and Fractions."""
+        if self.re.dtype == object:
+            return None
+        top = int(max(np.abs(self.re).max(initial=0), np.abs(self.im).max(initial=0)))
+        return gram_bound(self.re.shape, top)
+
+    def gram_blocks(self, upper: bool = False):
+        """Yield (lo, hi, gre, gim) for each block of at most _GRAM_ROWS
+        rows: rows lo..hi-1 of G[a, b] = (row_a, row_b) = sum_t conj(row_a[t])
+        row_b[t], against every column, or with ``upper`` only against the
+        columns lo.. (column lo + j is index j of the block), reduced mod p
+        over GF(p^2).  Row a of [re | im] times row b of [re | im] is
+        gre[a, b], and times row b of [im | -re] it is gim[a, b].
+
+        The products and the entries are formed in the dtypes gram_dtypes
+        picks from gram_bound, so every block is exact; no n x n array is
+        held."""
+        p = self.ring.char
+        bound = self.entry_bound()
+        product, entry = (object, object) if bound is None else gram_dtypes(bound, p)
+        x = np.hstack([self.re, self.im]).astype(product)
+        y = np.hstack([self.im, -self.re]).astype(product)
+        n = len(x)
+        for lo in range(0, n, _GRAM_ROWS):
+            hi = min(lo + _GRAM_ROWS, n)
+            cols = lo if upper else 0
+            gre = (x[lo:hi] @ x[cols:].T).astype(entry, copy=False)
+            gim = (x[lo:hi] @ y[cols:].T).astype(entry, copy=False)
+            if p:
+                reduce_mod(gre, p)
+                reduce_mod(gim, p)
+            yield lo, hi, gre, gim
+
     def gram(self) -> tuple[np.ndarray, np.ndarray]:
-        """(re, im) of G[a, b] = (row_a, row_b) = sum_t conj(row_a[t]) row_b[t],
-        reduced mod p over GF(p^2), in the components' dtype.
-
-        int64 components whose gram_bound is at most 2^53 are multiplied in
-        float64 BLAS, and the result is exact: each product and each partial
-        sum that a classical matrix product forms, in whatever order and
-        blocking and with or without fused multiply-add, is an integer of
-        absolute value at most gram_bound <= 2^53, which float64 represents
-        exactly, so no step rounds.  Other components are multiplied in
-        their own dtype, int64 under component_dtype's bound and Python
-        integers beyond it."""
-        re, im = self.re, self.im
-        in_float64 = False
-        if re.dtype == np.int64:
-            top = int(max(np.abs(re).max(initial=0), np.abs(im).max(initial=0)))
-            in_float64 = gram_bound(re.shape, top) <= FLOAT_EXACT
-        if in_float64:
-            gre, gim = _gram_float64(re, im)
-        else:
-            gre = re @ re.T
-            gre += im @ im.T
-            gim = re @ im.T
-            gim -= im @ re.T
-        if self.ring.char:
-            gre %= self.ring.char
-            gim %= self.ring.char
-        return gre, gim
+        """(re, im) of the whole Gram matrix G of gram_blocks, reduced mod p
+        over GF(p^2), in the components' dtype (object where the entries
+        are Python integers)."""
+        blocks = list(self.gram_blocks())
+        dtype = np.result_type(self.re.dtype, blocks[0][2].dtype)
+        return tuple(np.concatenate([b[k] for b in blocks], dtype=dtype) for k in (2, 3))
 
 
-# rows of the float64 Gram product held at once
+# rows of a Gram block formed at once
 _GRAM_ROWS = 256
 
 
-def _gram_float64(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Components.gram's two int64 products, unreduced, by one float64
-    product per block of rows: row a of [re | im] times row b of [re | im]
-    is gre[a, b], and times row b of [im | -re] it is gim[a, b].  Blocks of
-    rows keep the float64 result small beside the two int64 arrays."""
-    re, im = re.astype(np.float64), im.astype(np.float64)
-    x = np.hstack([re, im])
-    y = np.vstack([x, np.hstack([im, -re])])
-    n = len(x)
-    gre = np.empty((n, n), dtype=np.int64)
-    gim = np.empty_like(gre)
-    buf = np.empty((min(n, _GRAM_ROWS), 2 * n))
-    for lo in range(0, n, _GRAM_ROWS):
-        block = x[lo:lo + _GRAM_ROWS]
-        f = np.matmul(block, y.T, out=buf[:len(block)])
-        gre[lo:lo + len(block)] = f[:, :n]
-        gim[lo:lo + len(block)] = f[:, n:]
-    return gre, gim
+def gram_dtypes(bound: int, p: int):
+    """(product dtype, entry dtype) of Gram blocks whose entries sum
+    products of integer components, every partial sum at most ``bound``
+    in absolute value (gram_bound), over a ring of characteristic p.
+
+    The products run in float32 BLAS for bound <= 2^24 and in float64 BLAS
+    for bound <= 2^53, and the result is exact: each product and each
+    partial sum that a classical matrix product forms, in whatever order
+    and blocking and with or without fused multiply-add, is an integer of
+    absolute value at most bound, which the float type represents exactly,
+    so no step rounds.  Beyond 2^53 they run in int64.  The entries, and
+    their reduction mod p, whose values stay below bound + p, are int32 or
+    int64 by narrow_dtype(bound + p); past int64 both are Python
+    integers."""
+    entry = narrow_dtype(bound + p)
+    if entry is object:
+        return object, object
+    if bound <= FLOAT32_EXACT:
+        return np.float32, entry
+    return (np.float64 if bound <= FLOAT_EXACT else np.int64), entry
 
 
 def mat_rank(c: Components) -> int:
     """Exact rank; over the Gaussian integers, rank over the fraction field.
 
-    Integer-preserving elimination, one array update per pivot: each row
-    below the pivot row becomes pivot * row - f * (pivot row), reduced mod p
-    over GF(p^2).  Over Q(i) this is Bareiss' elimination on Python integers
-    (rows scaled by the lcm of their denominators): the update is divided
-    by the previous pivot, exactly, because every entry is then a minor."""
+    An m x n matrix with m > 2n is first eliminated on its leading 2n
+    rows only: if they have rank n, so has the matrix, since a subset of
+    rows has no more rank than the whole and no rank exceeds the column
+    count.  Otherwise the whole matrix is eliminated."""
+    m, n = c.re.shape
+    if m > 2 * n and _eliminate(Components(c.re[:2 * n], c.im[:2 * n], c.ring)) == n:
+        return n
+    return _eliminate(c)
+
+
+def _eliminate(c: Components) -> int:
+    """Rank by integer-preserving elimination, one array update per pivot:
+    each row below the pivot row becomes pivot * row - f * (pivot row),
+    reduced mod p over GF(p^2).  Over Q(i) this is Bareiss' elimination on
+    Python integers (rows scaled by the lcm of their denominators): the
+    update is divided by the previous pivot, exactly, because every entry
+    is then a minor."""
     p = c.ring.char
     m, n = c.re.shape
     if p:
@@ -369,8 +426,8 @@ def mat_rank(c: Components) -> int:
         nr = a * xr - b * xi - fr * br + fi * bi
         ni = a * xi + b * xr - fr * bi - fi * br
         if p:
-            nr %= p
-            ni %= p
+            reduce_mod(nr, p)
+            reduce_mod(ni, p)
         else:
             nn = pr * pr + pi * pi
             nr, ni = (nr * pr + ni * pi) // nn, (ni * pr - nr * pi) // nn

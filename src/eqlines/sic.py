@@ -24,6 +24,8 @@ from .exactalg import (
     RingSpec,
     component_dtype,
     mat_rank,
+    narrow_dtype,
+    reduce_mod,
 )
 from .hadamard import (
     DEFAULT_ORDER_CAP,
@@ -92,11 +94,13 @@ class SicSystem:
         matrix); raises SicError if some off-diagonal inner product is not
         4 times a power of i.  The table is read-only, as the vectors are."""
         n = self.d * self.d
-        gre, gim = self.vectors.gram()
-        t = np.full((n, n), -1, dtype=np.int8)
-        for k in range(4):
-            val = self.ring.el(4) * self.ring.i_power(k)
-            t[(gre == int(val.re)) & (gim == int(val.im))] = k
+        code, lookup = _phase_lookup(self.ring)
+        t = np.empty((n, n), dtype=np.int8)
+        for lo, hi, gre, gim in self.vectors.gram_blocks():
+            key = code(gre)
+            key *= 4
+            key += code(gim)
+            np.take(lookup, key, out=t[lo:hi])
         np.fill_diagonal(t, 0)
         if (t < 0).any():
             u, v = np.argwhere(t < 0)[0]
@@ -128,6 +132,25 @@ class SicSystem:
                 f"a source of order {d} needs d = {d} and {d * d} vectors of "
                 f"{d} (re, im) pairs; got d = {data['d']!r} and shape {vectors.shape}")
         return SicSystem(d, ring, _saved_components(vectors, ring), source)
+
+
+def _phase_lookup(ring: Ring):
+    """(code, lookup): code maps Gram components to 1 for 0, 2 for 4, 3
+    for -4 and 0 for every other value of the ring, and lookup[4 code(re)
+    + code(im)] is k where re + im i = 4 i^k, -1 elsewhere.  The components
+    of 4 i^k are 0 and +-4, so every entry takes one lookup."""
+    zero, four, minus_four = (int(ring.el(v).re) for v in (0, 4, -4))
+
+    def code(g):
+        out = np.equal(g, zero).view(np.int8) + np.equal(g, four).view(np.int8) * 2
+        out += np.equal(g, minus_four).view(np.int8) * 3
+        return out
+
+    lookup = np.full(16, -1, dtype=np.int8)
+    for k in range(4):
+        val = ring.el(4) * ring.i_power(k)
+        lookup[4 * code(val.re) + code(val.im)] = k
+    return code, lookup
 
 
 def _saved_components(values: np.ndarray, ring: Ring) -> Components:
@@ -199,10 +222,20 @@ class SicVerdict:
 
 
 def verify_sic(s: SicSystem) -> SicVerdict:
-    """Check the four defining axioms exactly, for every ring: one Gram
-    matrix and one rank on the vectors' components, int64 (and float64
-    BLAS for the Gram products) only where a bound proves it exact."""
+    """Check the four defining axioms exactly, for every ring, on every
+    vector and every pair; a failure names the first witness in row-major
+    order: the first vector for (a), the first pair (u, v) of the Gram
+    matrix for (b), which has u < v, and the first entry of the frame
+    operator for (c).
+
+    (b) streams the Gram matrix's upper triangle in blocks of rows
+    (Components.gram_blocks), so no n x n array is held, and (d) takes the
+    rank from the leading rows where they decide it (mat_rank).  Every
+    array is int32, int64 or Python integers by a bound that proves it
+    exact, and the Gram products are float BLAS only where gram_dtypes
+    proves them exact."""
     ring, d, x = s.ring, s.d, s.vectors  # row u of x is x_u
+    p = ring.char
     a_el, b_el, c_el = ring.el(A_INT), ring.el(B_INT), ring.el(C_INT)
     if (a_el * a_el) == b_el:
         raise SicError("degenerate constants: a^2 = b in this ring")
@@ -211,20 +244,37 @@ def verify_sic(s: SicSystem) -> SicVerdict:
     def fail(axiom, witness):
         return SicVerdict(False, a_el, b_el, c_el, failed_axiom=axiom, witness=witness)
 
-    gre, gim = x.gram()
-    bad = np.flatnonzero((np.diag(gre) != a) | (np.diag(gim) != 0))
+    # (x_u, x_u) = sum_t re^2 + im^2 is at most gram_bound, like any Gram
+    # entry; its imaginary part sum_t re im - im re is 0 identically, so
+    # only the real part is checked
+    norms = (x.re * x.re + x.im * x.im).sum(axis=1)
+    if p:
+        reduce_mod(norms, p)
+    bad = np.flatnonzero(norms != a)
     if len(bad):
         return fail("a", (int(bad[0]),))
-    # (x_v, x_u) = conj (x_u, x_v), so their product is the norm gre^2 + gim^2
-    gre *= gre
-    gim *= gim
-    gre += gim
-    if ring.char:
-        gre %= ring.char
-    np.fill_diagonal(gre, b)
-    bad = np.argwhere(gre != b)
-    if len(bad):
-        return fail("b", tuple(int(w) for w in bad[0]))
+    # (x_v, x_u) = conj (x_u, x_v), and conjugation keeps the norm
+    # gre^2 + gim^2, so the pairs that fail (b) are symmetric: the first in
+    # row-major order over the whole matrix has u < v, and it is the first
+    # that a row-major scan of the upper triangle meets.  A norm of reduced
+    # entries is below 2 p^2, one of char-0 entries at most 2 bound^2.
+    bound = x.entry_bound()
+    norm_dtype = object if bound is None else narrow_dtype(
+        2 * p * p if p else 2 * bound * bound)
+    for lo, hi, gre, gim in x.gram_blocks(upper=True):
+        dtype = np.result_type(gre.dtype, norm_dtype)
+        gre, gim = gre.astype(dtype, copy=False), gim.astype(dtype, copy=False)
+        gre *= gre
+        gim *= gim
+        gre += gim
+        if p:
+            reduce_mod(gre, p)
+        diag = np.arange(hi - lo)
+        gre[diag, diag] = b
+        ok = gre == b
+        if not ok.all():
+            u, v = np.argwhere(~ok)[0]
+            return fail("b", (lo + int(u), lo + int(v)))
     # sum_u x_u x_u* is the conjugate of the Gram matrix of the coordinates
     fre, fim = x.T.gram()
     bad = np.argwhere((fre != c * np.eye(d, dtype=np.int64)) | (fim != 0))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from eqlines import exactalg
 from eqlines.exactalg import (
+    FLOAT32_EXACT,
     FLOAT_EXACT,
     Components,
     Ring,
@@ -246,9 +247,10 @@ def test_component_dtype_in_characteristic_zero():
     assert Components.of([[q.el(1, 0) / q.el(3)]], q).re.dtype == object
 
 
-def _float64_edge(shape):
-    """The largest component size whose gram_bound is within 2^53."""
-    return math.isqrt(FLOAT_EXACT // (2 * max(shape)))
+def _float64_edge(shape, exact=FLOAT_EXACT):
+    """The largest component size whose gram_bound is within 2^53, or
+    within ``exact``."""
+    return math.isqrt(exact // (2 * max(shape)))
 
 
 def _prime_3mod4(start, step):
@@ -261,18 +263,20 @@ def _prime_3mod4(start, step):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_gram_matches_python_integers(data):
-    """Components.gram of int64 components, float64 or int64 as gram_bound
-    says, equals the product of the same components as Python integers,
-    also at and just past the float64 bound."""
+    """Components.gram of int64 components, float32, float64 or int64 as
+    gram_bound says, equals the product of the same components as Python
+    integers, also at and just past the float32 and float64 bounds."""
     shape = (data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
-    edge = _float64_edge(shape)
+    edge, edge32 = _float64_edge(shape), _float64_edge(shape, FLOAT32_EXACT)
     if data.draw(st.booleans()):
         ring = Ring("gauss")
-        top = data.draw(st.sampled_from([edge, edge + 1, 4 * edge]) | st.integers(1, 50))
+        top = data.draw(st.sampled_from([edge32, edge32 + 1, edge, edge + 1, 4 * edge])
+                        | st.integers(1, 50))
         lo = -top
     else:
         p = data.draw(st.sampled_from([
-            3, 7, _prime_3mod4(edge + 1, -1), _prime_3mod4(edge + 2, 1)]))
+            3, 7, _prime_3mod4(edge32 + 1, -1), _prime_3mod4(edge32 + 2, 1),
+            _prime_3mod4(edge + 1, -1), _prime_3mod4(edge + 2, 1)]))
         ring, top, lo = Ring(f"gf:{p}"), p - 1, 0
     entry = st.sampled_from([lo, top]) | st.integers(lo, top)
     re, im = (np.array(data.draw(st.lists(entry, min_size=shape[0] * shape[1],
@@ -286,17 +290,134 @@ def test_gram_matches_python_integers(data):
             assert a.dtype == np.int64 and np.array_equal(a, b)
 
 
+def _spy_products(monkeypatch):
+    """The product dtypes gram_dtypes picks from here on, one per Gram
+    computation."""
+    products = []
+    dtypes = exactalg.gram_dtypes
+
+    def spy(bound, p):
+        out = dtypes(bound, p)
+        products.append(out[0])
+        return out
+
+    monkeypatch.setattr(exactalg, "gram_dtypes", spy)
+    return products
+
+
 def test_gram_tier_follows_gram_bound(monkeypatch):
-    used = []
-    float64_gram = exactalg._gram_float64
-    monkeypatch.setattr(exactalg, "_gram_float64",
-                        lambda re, im: used.append(re) or float64_gram(re, im))
+    products = _spy_products(monkeypatch)
     r = Ring("gauss")
     edge = _float64_edge((2, 3))
     for top, in_float64 in [(edge, True), (-edge - 1, False), (3, True)]:
-        used.clear()
+        products.clear()
         re = np.array([[top, 1, 0], [2, -1, 1]], dtype=np.int64)
         c = Components(re, re[::-1].copy(), r)
         assert (gram_bound(re.shape, abs(top)) <= FLOAT_EXACT) == in_float64
         c.gram()
+        used = [dt for dt in products if dt in (np.float32, np.float64)]
         assert len(used) == in_float64
+
+
+def test_gram_dtype_tiers_at_their_edges():
+    """float32 products up to a bound of 2^24, float64 up to 2^53, int64
+    beyond; int32 entries while bound + p < 2^31, int64 while it is below
+    2^63, Python integers past it."""
+    for bound, p, want in [
+        (2**24, 0, (np.float32, np.int32)), (2**24 + 1, 0, (np.float64, np.int32)),
+        (2**24, 2**31 - 2**24 - 1, (np.float32, np.int32)),
+        (2**24, 2**31 - 2**24, (np.float32, np.int64)),
+        (2**31 - 1, 0, (np.float64, np.int32)), (2**31, 0, (np.float64, np.int64)),
+        (2**53, 7, (np.float64, np.int64)), (2**53 + 1, 7, (np.int64, np.int64)),
+        (2**63 - 8, 7, (np.int64, np.int64)), (2**63 - 7, 7, (object, object)),
+    ]:
+        assert exactalg.gram_dtypes(bound, p) == want, (bound, p)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_gram_float32_tier_at_two_to_the_24(monkeypatch, transpose):
+    """2 x 2 components of size 2^11 have gram_bound 2^24 and are
+    multiplied in float32; size 2^11 + 1 goes to float64.  Both Gram
+    matrices equal the Python-integer ones, and the entries hold 2^24
+    exactly, where float32's spacing becomes 2."""
+    products = _spy_products(monkeypatch)
+    r = Ring("gauss")
+    for top, product in [(2**11, np.float32), (2**11 + 1, np.float64)]:
+        assert (gram_bound((2, 2), top) <= FLOAT32_EXACT) == (product == np.float32)
+        re = np.array([[top, top], [top, 1 - top]], dtype=np.int64)
+        im = np.array([[top, -top], [-top, top]], dtype=np.int64)
+        c = Components(re, im, r)
+        c = c.T if transpose else c
+        products.clear()
+        got = c.gram()
+        assert products == [product]
+        exact = Components(c.re.astype(object), c.im.astype(object), r).gram()
+        for a, b in zip(got, exact):
+            assert a.dtype == np.int64 and np.array_equal(a, b)
+        assert got[0][0, 0] == 4 * top * top
+
+
+def _realified_rank(re, im, p):
+    """Rank over GF(p^2) as half the rank over GF(p) of [[re, -im], [im, re]],
+    the matrix of the same map on GF(p)-coordinates, computed by sympy."""
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+    big = np.block([[re, -im], [im, re]]) % p
+    return DomainMatrix.from_list(big.tolist(), GF(p)).rank() // 2
+
+
+@st.composite
+def _tall_matrices(draw, lo, hi):
+    """(re, im) with m > 2n rows whose leading 2n rows have rank below n
+    (rows combined from fewer than n drawn rows) or rank n (the identity
+    among them), and whose remaining rows are drawn, the identity among
+    them when the leading rows fall short and a flag says so."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(2 * n + 1, 2 * n + 4))
+    row = st.lists(st.integers(lo, hi), min_size=n, max_size=n)
+    rows = lambda k: np.array(draw(st.lists(row, min_size=k, max_size=k)),
+                              dtype=np.int64).reshape(k, n)
+    head_full = draw(st.booleans())
+    re, im = rows(m), rows(m)
+    if head_full:
+        at = draw(st.permutations(range(2 * n)))[:n]
+        re[at], im[at] = np.eye(n, dtype=np.int64), 0
+    else:
+        k = draw(st.integers(0, n - 1))
+        basis_re, basis_im = rows(k), rows(k)
+        cre, cim = rows(2 * n)[:, :k], rows(2 * n)[:, :k]
+        re[:2 * n] = cre @ basis_re - cim @ basis_im
+        im[:2 * n] = cre @ basis_im + cim @ basis_re
+        if draw(st.booleans()) and m - 2 * n >= n:
+            re[2 * n:3 * n], im[2 * n:3 * n] = np.eye(n, dtype=np.int64), 0
+    return re, im, head_full
+
+
+@pytest.mark.parametrize("ring", ["gf:3", "gf:7", "gauss", "gaussq"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rank_from_a_leading_block(ring, data):
+    """On m > 2n rows, mat_rank eliminates the leading 2n rows alone when
+    they have rank n, and the whole matrix otherwise; either way it equals
+    sympy's rank over GF(p) of the realified matrix, or the fraction-free
+    rank in characteristic 0."""
+    r = Ring(ring)
+    lo, hi = (0, r.char - 1) if r.char else (-3, 3)
+    re, im, head_full = data.draw(_tall_matrices(lo, hi))
+    m, n = re.shape
+    rows = _exact(re, im, r)
+    if r.char:
+        want = _realified_rank(re, im, r.char)
+        head = _realified_rank(re[:2 * n], im[:2 * n], r.char)
+    else:
+        want = rank_fraction_free(_exact(re, im, Ring("gauss")))
+        head = rank_fraction_free(_exact(re[:2 * n], im[:2 * n], Ring("gauss")))
+    assert (head == n) == head_full
+    if ring == "gaussq":
+        rows[-1] = [x / r.el(3) for x in rows[-1]]
+    eliminated = []
+    eliminate = exactalg._eliminate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactalg, "_eliminate", lambda c: eliminated.append(len(c.re)) or eliminate(c))
+        assert mat_rank(Components.of(rows, r)) == want
+    assert eliminated == ([2 * n] if head_full else [2 * n, m])

@@ -1,12 +1,26 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from eqlines.exactalg import FLOAT_EXACT, Components, Ring, exact_dtype, gram_bound
+from eqlines import exactalg
+from eqlines.exactalg import (
+    FLOAT32_EXACT,
+    FLOAT_EXACT,
+    Components,
+    Ring,
+    exact_dtype,
+    gram_bound,
+)
 from eqlines.hadamard import SignMatrix, from_recipe, paley, sylvester
 from eqlines.sic import (
+    A_INT,
+    B_INT,
+    C_INT,
     SicError,
     SicSystem,
     applicable_primes,
@@ -273,3 +287,147 @@ def test_float64_gram_threshold():
         assert s.vectors.re.dtype == np.int64
         assert (gram_bound(s.vectors.re.shape, p - 1) <= FLOAT_EXACT) == in_float64
         _assert_verifies_exactly(s)
+
+
+def _verify_full_gram(s):
+    """(passed, failed_axiom, witness) by verify_sic's formulation on the
+    whole Gram matrix: both n x n Gram arrays in the components' own dtype,
+    reduced with %, axiom (a) on their diagonal, (b) on the full square,
+    (c) on the Gram matrix of the coordinates and (d) on the elimination of
+    every row."""
+    ring, d, x = s.ring, s.d, s.vectors
+    p = ring.char
+    a, b, c = (int(ring.el(v).re) for v in (A_INT, B_INT, C_INT))
+
+    def gram(re, im):
+        gre = re @ re.T + im @ im.T
+        gim = re @ im.T - im @ re.T
+        return (gre % p, gim % p) if p else (gre, gim)
+
+    gre, gim = gram(x.re, x.im)
+    bad = np.flatnonzero((np.diag(gre) != a) | (np.diag(gim) != 0))
+    if len(bad):
+        return False, "a", (int(bad[0]),)
+    norm = gre * gre + gim * gim
+    if p:
+        norm %= p
+    np.fill_diagonal(norm, b)
+    bad = np.argwhere(norm != b)
+    if len(bad):
+        return False, "b", tuple(int(w) for w in bad[0])
+    fre, fim = gram(x.re.T, x.im.T)
+    bad = np.argwhere((fre != c * np.eye(d, dtype=np.int64)) | (fim != 0))
+    if len(bad):
+        return False, "c", tuple(int(w) for w in bad[0])
+    if exactalg._eliminate(x) != d:
+        return False, "d", ()
+    return True, None, None
+
+
+def _d8_prime(bound, edge, step):
+    """The prime p = 3 (mod 4) nearest to the last p - 1 whose bound for a
+    d = 8 system over GF(p^2) is at most edge, below it (step -1) or past
+    it (step 1)."""
+    top = 1
+    while bound(top + 1) <= edge:
+        top += 1
+    return _prime_3mod4(top + 1 if step < 0 else top + 2, step)
+
+
+def _gram_d8(top):
+    return gram_bound((64, 8), top)
+
+
+# each ring of the agreement test, with the primes on either side of the
+# float32, int32 and float64 edges of a d = 8 system's Gram blocks
+AGREEMENT_RINGS = ["gf:3", "gf:7", "gf:11", "gf:2147483647", "gauss", "gaussq"] + [
+    f"gf:{_d8_prime(bound, edge, step)}"
+    for bound, edge in [(_gram_d8, FLOAT32_EXACT),
+                        (lambda top: _gram_d8(top) + top + 1, 2**31 - 1),
+                        (_gram_d8, FLOAT_EXACT)]
+    for step in (-1, 1)]
+
+
+@pytest.fixture(scope="module")
+def agreement_systems():
+    return {ring: construct_sic(sylvester(3), Ring(ring)) for ring in AGREEMENT_RINGS}
+
+
+def _retouched(s, changes):
+    """A copy of s with component t of x_u set to change(x_u[t]) for each
+    (u, t, change), its arrays rebuilt by Components.of."""
+    rows = [[_element(s, u, t) for t in range(s.d)] for u in range(len(s.vectors.re))]
+    for u, t, change in changes:
+        rows[u][t] = change(rows[u][t])
+    return SicSystem(s.d, s.ring, Components.of(rows, s.ring), s.source)
+
+
+@st.composite
+def _changes(draw, s):
+    """Up to two (u, t, change): a component replaced in re, in im or in
+    both, by a drawn value (a Fraction over gaussq) or by i, -1 or
+    conjugation applied to it."""
+    ring = s.ring
+    if ring.char:
+        value = st.integers(0, ring.char - 1)
+    elif ring.spec.kind == "gaussian":
+        value = st.integers(-4, 4)
+    else:
+        value = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    out = []
+    for _ in range(draw(st.integers(0, 2))):
+        u = draw(st.integers(0, s.d * s.d - 1))
+        t = draw(st.integers(0, s.d - 1))
+        part = draw(st.sampled_from(["re", "im", "both", "times i", "negate", "conj"]))
+        new_re, new_im = draw(value), draw(value)
+        change = {
+            "re": lambda x, r=new_re: ring.el(r, x.im),
+            "im": lambda x, i=new_im: ring.el(x.re, i),
+            "both": lambda x, r=new_re, i=new_im: ring.el(r, i),
+            "times i": lambda x: x * ring.i,
+            "negate": lambda x: -x,
+            "conj": lambda x: x.conj(),
+        }[part]
+        out.append((u, t, change))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_verdicts_match_full_gram(agreement_systems, data):
+    """verify_sic, streaming the upper triangle, and the full-Gram
+    formulation agree on the verdict, the failed axiom and its witness,
+    also when a vector is dropped, which fails the frame axiom (c)."""
+    s = agreement_systems[data.draw(st.sampled_from(AGREEMENT_RINGS))]
+    t = _retouched(s, data.draw(_changes(s)))
+    if data.draw(st.booleans()):
+        keep = np.arange(s.d * s.d) != data.draw(st.integers(0, s.d * s.d - 1))
+        x = t.vectors
+        t = SicSystem(s.d, s.ring, Components(x.re[keep], x.im[keep], s.ring), s.source)
+    v = verify_sic(t)
+    assert (v.passed, v.failed_axiom, v.witness) == _verify_full_gram(t)
+    event(f"{v.failed_axiom}")
+
+
+def test_agreement_rings_straddle_the_dtype_edges(agreement_systems):
+    """The primes of AGREEMENT_RINGS put d = 8 systems on each side of the
+    float32 and float64 product edges and of the int32 entry edge."""
+    tiers = [exactalg.gram_dtypes(s.vectors.entry_bound(), s.ring.char)
+             for s in agreement_systems.values() if s.vectors.re.dtype != object]
+    assert {product for product, _ in tiers} == {np.float32, np.float64, np.int64}
+    assert {entry for _, entry in tiers} == {np.int32, np.int64}
+    assert agreement_systems["gf:2147483647"].vectors.re.dtype == object
+
+
+@pytest.mark.parametrize("changes", [
+    [], [(5, 2, "times i")], [(700, 3, "plus 1")], [(1000, 31, "times i")],
+    [(17, 0, "times i"), (900, 9, "negate")], [(1023, 31, "conj")],
+], ids=str)
+def test_d32_verdicts_match_full_gram(changes):
+    s = construct_sic(sylvester(5), Ring("gf:3"))
+    ring = s.ring
+    ops = {"times i": lambda x: x * ring.i, "plus 1": lambda x: x + ring.one,
+           "negate": lambda x: -x, "conj": lambda x: x.conj()}
+    t = _retouched(s, [(u, c, ops[op]) for u, c, op in changes])
+    v = verify_sic(t)
+    assert (v.passed, v.failed_axiom, v.witness) == _verify_full_gram(t)
