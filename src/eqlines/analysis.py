@@ -5,8 +5,9 @@ automorphism group of the source sign matrix H, the strong and weak
 automorphism groups of the line system built from H, and the strong
 automorphism group of the order d^2 sign matrix Ht with entries
 Ht[(i,j),(k,l)] = H[k,j] H[i,l].  They form an ascending chain, and
-sandwich_report computes all four, certifies the inclusions, and
-reports exact indices, orbit structures and transitivity degrees.
+sandwich_report computes all four bottom-up, seeding each search with
+the group below it, and reports exact indices, orbit structures and
+transitivity degrees.
 
 Witness objects make the group memberships independently checkable:
 signed-permutation data for matrix equivalences, and (eps, gamma,
@@ -42,17 +43,41 @@ class AnalysisError(ValueError):
 # sign matrix groups
 
 
-def hadamard_aut(m: SignMatrix, strength: str, budget: int = DEFAULT_BUDGET) -> PermGroup:
+def hadamard_aut(m: SignMatrix, strength: str, budget: int = DEFAULT_BUDGET,
+                 subgroup: PermGroup | None = None) -> PermGroup:
     """Automorphism group of a sign matrix under signed permutations:
     one simultaneous permutation ("strong") or an independent row and
     column pair ("weak").  Sign vectors are quotiented out (they are
     determined up to a global flip).  strong: permutations of [d].  weak:
     permutations of the disjoint union rows + columns (rows 0..d-1,
-    columns d..2d-1), sides preserved."""
+    columns d..2d-1), sides preserved.
+
+    subgroup, for "strong" only, is a group of permutations of [d] known
+    to lie in the strong group.  Each of its generators pi is lifted to
+    the sign cover, (i, s) -> (pi i, s xor [eps_i = -1]) with eps from
+    verify_strong_matrix_identity, and seeds the search; AnalysisError is
+    raised when one does not lift.  The returned generators are then
+    subgroup's, in order, followed by those the search found, and the
+    group's stabilizer chain is grown from subgroup's."""
     g = encode_phased_matrix_graph(m, strength)
-    lifted = graph_automorphisms(g, budget)
+    seeds = []
+    if subgroup is not None:
+        if strength != "strong":
+            raise AnalysisError("only the strong group takes a subgroup")
+        seeds = [_sign_lift(m, pi) for pi in subgroup.generators]
+    lifted = graph_automorphisms(g, budget, seeds)
     return PermGroup([project_fiber(p, 2) for p in lifted.generators],
-                     lifted.n // 2)
+                     lifted.n // 2, subgroup)
+
+
+def _sign_lift(m: SignMatrix, pi: Permutation) -> Permutation:
+    """The strong automorphism pi of m as a permutation of its sign
+    cover's vertices i*2 + s: (i, s) -> (pi i, s xor [eps_i = -1])."""
+    eps = verify_strong_matrix_identity(m, pi)
+    if eps is None:
+        raise AnalysisError(f"{pi.as_list()} is not a strong automorphism of the "
+                            "sign matrix: the chain of groups is broken")
+    return Permutation((2 * pi.img[:, None] + (np.arange(2) + (eps[:, None] < 0)) % 2).ravel())
 
 
 def split_weak_pair(g: Permutation, d: int) -> tuple[Permutation, Permutation]:
@@ -161,7 +186,11 @@ class SicAutParts:
     onto the recolored phase table that exhausts its tree, pruned by the
     base group's lifted generators: they are automorphisms of the
     recolored cover graph too, and pruning by them skips only subtrees
-    that hold no map (see autgraph._Search)."""
+    that hold no map (see autgraph._Search).
+
+    When sic_aut_parts is given a subgroup (in a sandwich, iota(weak H)),
+    its generators head base_group's generator list, and base_group's
+    stabilizer chain is grown from the subgroup's."""
 
     base_group: PermGroup
     coset_witness: dict[tuple[int, str], Permutation | None] = field(default_factory=dict)
@@ -172,21 +201,38 @@ class SicAutParts:
         """Strong or weak automorphism group of the line system as a
         permutation group on [d] x [d]: the base group and the witnesses
         of the realized cosets, those with gamma = id for strong.  Each is
-        built once; the weak group's stabilizer chain is grown from the
-        strong group's."""
+        built once, and each stabilizer chain is grown from the one below:
+        strong from the base group's (strong is the base group itself when
+        no gamma = id coset is realized), weak from strong's."""
         if strength not in ("strong", "weak"):
             raise AnalysisError(f"unknown strength {strength!r}")
         if strength not in self._groups:
-            gens = list(self.base_group.generators)
-            for (_, gamma), w in self.coset_witness.items():
-                if w is not None and (strength == "weak" or gamma == "id"):
-                    gens.append(w)
-            strong = self.group("strong") if strength == "weak" else None
-            self._groups[strength] = PermGroup(gens, self.base_group.n, strong)
+            below = self.base_group if strength == "strong" else self.group("strong")
+            extra = [w for (_, gamma), w in self.coset_witness.items()
+                     if w is not None and (strength == "weak" or gamma == "id")]
+            if strength == "strong" and not extra:
+                self._groups[strength] = below
+            else:
+                gens = list(self.base_group.generators) + extra
+                self._groups[strength] = PermGroup(gens, self.base_group.n, below)
         return self._groups[strength]
 
 
-def sic_aut_parts(s: SicSystem, budget: int = DEFAULT_BUDGET) -> SicAutParts:
+def _phase_lift(s: SicSystem, pi: Permutation) -> Permutation:
+    """The strong automorphism pi of the line system s as a permutation
+    of its phase cover's vertices u*4 + a: (u, a) -> (pi u, a + omega_u
+    mod 4), with omega from lemma36_extract(s, s, pi, "id"), which raises
+    AnalysisError itself when pi is no weak automorphism at all."""
+    cert = lemma36_extract(s, s, pi, "id")
+    if cert.eps != 1:
+        raise AnalysisError(f"{pi.as_list()} is not a strong automorphism of the line "
+                            "system: the chain of groups is broken")
+    return Permutation((4 * pi.img[:, None] + (np.arange(4) + cert.omega_exp[:, None]) % 4)
+                       .ravel())
+
+
+def sic_aut_parts(s: SicSystem, budget: int = DEFAULT_BUDGET,
+                  subgroup: PermGroup | None = None) -> SicAutParts:
     """Base group plus coset representatives for every recoloring the
     characteristic admits.  The global sign eps = -1 can only occur in
     characteristic 3, so it is attempted exactly there; the conjugation
@@ -196,13 +242,19 @@ def sic_aut_parts(s: SicSystem, budget: int = DEFAULT_BUDGET) -> SicAutParts:
     the phase table's cover graph, so its levels are refined once between
     them; each search keeps its own node count and budget.
 
+    subgroup is a group on [d] x [d] known to lie in the base group, such
+    as iota(weak H).  Each of its generators is lifted to the cover (see
+    _phase_lift) and seeds the base search, which checks it against the
+    full color matrices; AnalysisError is raised when one does not lift.
+
     s must be a verified system (see sic.verify_sic): the searches read
     the phase table of its vectors (s.phases) and do not check the axioms."""
     graph = encode_sic_graph(s.phases)
     side = FixedSide(graph)
-    lifted = graph_automorphisms(side, budget)
+    seeds = [] if subgroup is None else [_phase_lift(s, pi) for pi in subgroup.generators]
+    lifted = graph_automorphisms(side, budget, seeds)
     n2 = s.d ** 2
-    base = PermGroup([project_fiber(g, 4) for g in lifted.generators], n2)
+    base = PermGroup([project_fiber(g, 4) for g in lifted.generators], n2, subgroup)
     parts = SicAutParts(base)
     labels = [(1, "conj")]
     if s.ring.char == 3:
@@ -216,11 +268,14 @@ def sic_aut_parts(s: SicSystem, budget: int = DEFAULT_BUDGET) -> SicAutParts:
     return parts
 
 
-def tilde_strong_aut(h: SignMatrix, budget: int = DEFAULT_BUDGET) -> PermGroup:
+def tilde_strong_aut(h: SignMatrix, budget: int = DEFAULT_BUDGET,
+                     subgroup: PermGroup | None = None) -> PermGroup:
     """Strong automorphism group of the induced order d^2 sign matrix,
-    as a permutation group on [d] x [d]."""
+    as a permutation group on [d] x [d].  subgroup, such as weak(lines)
+    in a sandwich, seeds the search as in hadamard_aut: its generators
+    head the returned list, and its chain is the start of this one's."""
     ht = build_tilde(h)
-    return hadamard_aut(ht, "strong", budget)
+    return hadamard_aut(ht, "strong", budget, subgroup)
 
 
 # ---------------------------------------------------------------------------
@@ -340,21 +395,33 @@ class SandwichReport:
 def sandwich_report(s: SicSystem, budget: int = DEFAULT_BUDGET) -> SandwichReport:
     """Compute the chain iota(weak(H)) <= strong(lines) <= weak(lines)
     <= strong(Ht) on [d] x [d] for the line system s built from H =
-    s.source, certify each inclusion by generator membership, and report
-    exact orders, indices, orbit partitions and transitivity degrees.
+    s.source, and report exact orders, indices, orbit partitions and
+    transitivity degrees.
+
+    The chain is searched bottom-up.  iota(weak H) seeds the base search
+    of the line-system groups, and weak(lines) seeds the search for
+    strong(Ht): each seed is lifted to the higher search's cover graph
+    and checked there against the full color matrices, and that check is
+    what certifies each inclusion.  The seeds head each group's generator
+    list, and each group's stabilizer chain is grown from the one below.
 
     Like sic_aut_parts, this expects s to be verified (see
     sic.verify_sic); it does not check the axioms.  The two line-system
     groups are computed from the phase table of its vectors (s.phases)."""
     h = s.source
-    parts = sic_aut_parts(s, budget)
+    iota = iota_weak_group(h, budget)
+    parts = sic_aut_parts(s, budget, iota)
+    weak = parts.group("weak")
     chain = {
-        "iota_weak_H": iota_weak_group(h, budget),
+        "iota_weak_H": iota,
         "strong_sic": parts.group("strong"),
-        "weak_sic": parts.group("weak"),
-        "strong_tilde": tilde_strong_aut(h, budget),
+        "weak_sic": weak,
+        "strong_tilde": tilde_strong_aut(h, budget, weak),
     }
     names = list(chain)
+    # each group's generators begin with the smaller group's, so the sift
+    # of subgroup_index is now trivially true: the seed checks above
+    # certify the inclusions, and it reads off the index
     indices = tuple(subgroup_index(chain[big], chain[small])
                     for small, big in zip(names, names[1:]))
     orders = {name: g.order() for name, g in chain.items()}

@@ -37,9 +37,11 @@ automorphism g that fixes the second graph's path to the node
 pointwise, so the whole orbit of u under those automorphisms is skipped
 without being refined.  The search still reaches the same first leaf,
 so every map it returns and every generator list is what the unpruned
-search gives (the proof is in _Search's docstring).  An automorphism
-search prunes by the generators it has found; find_isomorphism also
-accepts known automorphisms of its target graph.
+search gives (the proof is in _Search's docstring).  Both entry points
+also take known automorphisms of the second graph, the seeds: each is
+checked against the full color matrices, and they prune from the root.
+An automorphism search then returns the seeds followed by the maps it
+finds, so it finds only what the seeds do not already generate.
 
 Several searches against one first graph share its side of the search,
 a FixedSide: its edge-code matrix, root partition and cached levels.
@@ -331,9 +333,10 @@ class _Search:
     find_automorphisms (B is A) walks A's levels down the first path and
     searches every subtree off it as find_isomorphism searches the tree.
 
-    gens holds automorphisms of B: the generators found so far, or those
-    given to find_isomorphism.  A node's path is the list of vertices
-    individualized in B from the root down to it.  When a child u of the
+    gens holds automorphisms of B: the seeds given to the search, each
+    checked against B's full color matrices, followed by the generators
+    an automorphism search has found so far.  A node's path is the list
+    of vertices individualized in B from the root down to it.  When a child u of the
     node has no map below it, the orbit of u under the automorphisms in
     gens that fix the path pointwise joins the node's failed set, and a
     child in that set is neither refined nor ticked.  Proof: take such
@@ -353,7 +356,7 @@ class _Search:
     which reads them, are unchanged too."""
 
     def __init__(self, side: ColoredDigraph | FixedSide, eb: np.ndarray, vcolb: np.ndarray,
-                 budget: int, name: str):
+                 budget: int, name: str, automorphisms=()):
         if not isinstance(side, FixedSide):
             side = FixedSide(side)
         self.n = side.n
@@ -366,6 +369,16 @@ class _Search:
         self.MB = self.MA if eb is side.edge_color else _edge_codes(eb)
         self.rootB = side.classes_of(vcolb)
         self.gens: list[np.ndarray] = []
+        # known automorphisms of B head gens, so they prune from the root;
+        # each is checked against B's full edge and vertex colors first,
+        # the same check a map found at a leaf passes
+        for p in automorphisms:
+            g = p.img.astype(np.int64)
+            if not (g.size == self.n and np.array_equal(vcolb[g], vcolb)
+                    and np.array_equal(eb.take(g, 0).take(g, 1), eb)):
+                raise GraphError("a given permutation is not an automorphism of the "
+                                 "second graph")
+            self.gens.append(g)
 
     def _fixed_level(self, up: _Level | None) -> _Level:
         """A's level in the children of ``up`` (the root when None), refined
@@ -519,7 +532,10 @@ class _Search:
         candidate w != b of a depth, one per orbit of the generators found
         so far that fix the path above it, is the root of an isomorphism
         search: a map it finds sends b to w, so it is never the identity,
-        and it has been checked at the leaf."""
+        and it has been checked at the leaf.  The candidates skipped at a
+        depth lie in the orbits of tried ones under automorphisms that
+        fix the path above it, seeds or maps found, so the seeds and the
+        maps found still generate the whole group."""
         level = None
         while level is None or level.ncls < self.n:
             self._tick()
@@ -551,17 +567,23 @@ class _Search:
                 self._orbit([w], fixing, reach)
 
 
-def graph_automorphisms(graph: ColoredDigraph | FixedSide,
-                        budget: int = DEFAULT_BUDGET) -> PermGroup:
+def graph_automorphisms(graph: ColoredDigraph | FixedSide, budget: int = DEFAULT_BUDGET,
+                        automorphisms=()) -> PermGroup:
     """Group of color-preserving vertex automorphisms (as a PermGroup on
-    the vertex set).  Every generator has been checked against the full
-    edge and vertex color matrices.  graph may be a FixedSide, whose
-    levels the search then shares."""
+    the vertex set).  graph may be a FixedSide, whose levels the search
+    then shares.
+
+    automorphisms are known automorphisms (Permutations) of graph, the
+    seeds: each is checked against the full edge and vertex color
+    matrices, and GraphError is raised for one that fails.  They prune
+    the search from its root, and the returned generators are the seeds,
+    in order, followed by the maps the search found, each of which has
+    passed the same check at its leaf.  So the group contains the group
+    the seeds generate, and the check is what certifies that inclusion."""
     s = _Search(graph, graph.edge_color, graph.vertex_color, budget,
-                "graph_automorphisms")
+                "graph_automorphisms", automorphisms)
     s.find_automorphisms()
-    gens = [Permutation(g) for g in s.gens]
-    return PermGroup(gens, graph.n)
+    return PermGroup([Permutation(g) for g in s.gens], graph.n)
 
 
 def find_isomorphism(graph: ColoredDigraph | FixedSide, eb: np.ndarray, vcolb: np.ndarray,
@@ -573,14 +595,7 @@ def find_isomorphism(graph: ColoredDigraph | FixedSide, eb: np.ndarray, vcolb: n
     pruned by them and returns the same map as without them.  Each is
     checked against eb and vcolb first, and GraphError is raised for one
     that is not an automorphism."""
-    s = _Search(graph, eb, vcolb, budget, "find_isomorphism")
-    for p in automorphisms:
-        g = p.img.astype(np.int64)
-        if not (g.size == s.n and np.array_equal(vcolb[g], vcolb)
-                and np.array_equal(eb.take(g, 0).take(g, 1), eb)):
-            raise GraphError("a given permutation is not an automorphism of the target graph")
-        s.gens.append(g)
-    f = s.find_isomorphism()
+    f = _Search(graph, eb, vcolb, budget, "find_isomorphism", automorphisms).find_isomorphism()
     return None if f is None else Permutation(f)
 
 

@@ -27,8 +27,12 @@ The same invariant lets a chain be grown.  A group made with a subgroup
 (PermGroup's subgroup argument, generated by some of its generators)
 starts its chain as a copy of the subgroup's completed chain, with every
 pair proven, and adds only the generators the subgroup lacks; the check
-then sifts just the pairs they bring.  The weak automorphism group of a
-line system is grown so from its strong group's chain.
+then sifts just the pairs they bring.  A sandwich (analysis.sandwich_report)
+searches its chain of four groups bottom-up, each search seeded with the
+group below, so the seeds head each generator list and every chain above
+iota(weak H)'s is grown so from the chain below it.  The seeds passed the
+search's full color check, which certifies each inclusion; the sift in
+subgroup_index is then trivially true, and only the index is news.
 """
 from __future__ import annotations
 
@@ -361,7 +365,7 @@ class PermGroup:
 
 def subgroup_index(g: PermGroup, h: PermGroup) -> int:
     """Exact index [g : h]; raises with the offending generator if h is not
-    contained in g."""
+    contained in g (trivially true when g was made with subgroup h)."""
     if g.n != h.n:
         raise PermError("point-set mismatch")
     for gen in h.generators:

@@ -363,3 +363,82 @@ def test_shared_searches_match_standalone_searches(monkeypatch, recipe, ring):
 def test_order20_tilde_group_within_10000_nodes():
     # 80,323 nodes without automorphism pruning, 9,343 with it
     assert tilde_strong_aut(paley(19, "I"), budget=10_000).order() == 6840
+
+
+def _weak_transform_of_sylvester3():
+    rng = np.random.default_rng(33)
+    w = EquivalenceWitness(Permutation(rng.permutation(8)), Permutation(rng.permutation(8)),
+                           rng.choice([1, -1], size=8), rng.choice([1, -1], size=8))
+    return w.apply(sylvester(3))
+
+
+@pytest.mark.parametrize("recipe,ring", [
+    ("sylvester:1", "gf:3"), ("sylvester:3", "gauss"), ("sylvester:3", "gf:3"),
+    ("sylvester:3", "gf:11"), ("paley1:7", "gf:7"), ("weak transform", "gf:3")])
+def test_seeded_chain_equals_the_unseeded_groups(recipe, ring):
+    """The sandwich seeds each search with the group below it; each group
+    equals the one an unseeded search gives: the same order, orbits and
+    transitivity, and each contains the other's generators."""
+    h = _weak_transform_of_sylvester3() if recipe == "weak transform" else from_recipe(recipe)
+    s = construct_sic(h, Ring(ring))
+    rep = sandwich_report(s)
+    parts = sic_aut_parts(s)
+    plain = {"iota_weak_H": iota_weak_group(h), "strong_sic": parts.group("strong"),
+             "weak_sic": parts.group("weak"), "strong_tilde": tilde_strong_aut(h)}
+    for name, g in plain.items():
+        seeded = rep.groups[name]
+        assert seeded.order() == g.order() == rep.orders[name], name
+        assert seeded.orbits() == g.orbits(), name
+        assert seeded.transitivity_degree(cap=3) == g.transitivity_degree(cap=3), name
+        assert all(g.contains(x) for x in seeded.generators), name
+        assert all(seeded.contains(x) for x in g.generators), name
+    # the seeds head each generator list
+    names = list(rep.groups)
+    for small, big in zip(names, names[1:]):
+        k = len(rep.groups[small].generators)
+        assert rep.groups[big].generators[:k] == rep.groups[small].generators
+
+
+def test_seeded_sandwich_node_counts(monkeypatch):
+    """Hoggar over GF(9): iota(weak H) seeds the line-system base search,
+    and weak(lines) the search for strong(Ht).  Unseeded, those two take
+    41 and 64 nodes; the coset searches are unchanged."""
+    s = construct_sic(sylvester(3), Ring("gf:3"))
+    runs = _record(monkeypatch)
+    sic_aut_parts(s)
+    tilde_strong_aut(s.source)
+    assert [r.nodes for r in runs] == [41, 7, 2, 2, 64]
+    runs.clear()
+    sandwich_report(s)
+    assert [r.name for r in runs] == (["graph_automorphisms"] * 2 + ["find_isomorphism"] * 3
+                                      + ["graph_automorphisms"])
+    assert [r.nodes for r in runs] == [43, 16, 7, 2, 2, 30]
+
+
+def test_a_missing_sign_lift_raises(monkeypatch, d2, d2_parts):
+    weak = d2_parts.group("weak")
+    assert tilde_strong_aut(H1, subgroup=weak).order() == 24
+    monkeypatch.setattr(analysis, "verify_strong_matrix_identity", lambda m, pi: None)
+    with pytest.raises(AnalysisError, match="chain of groups is broken"):
+        tilde_strong_aut(H1, subgroup=weak)
+    with pytest.raises(AnalysisError, match="chain of groups is broken"):
+        sandwich_report(d2)
+
+
+def test_a_missing_phase_lift_raises(monkeypatch, d2):
+    iota = iota_weak_group(H1)
+    assert sic_aut_parts(d2, subgroup=iota).base_group.order() == 12
+
+    def negated(s, s_prime, pi, gamma_hint=None):
+        return Lemma36Certificate(-1, "id", np.zeros(pi.n, dtype=np.int64))
+
+    monkeypatch.setattr(analysis, "lemma36_extract", negated)
+    with pytest.raises(AnalysisError, match="chain of groups is broken"):
+        sic_aut_parts(d2, subgroup=iota)
+    with pytest.raises(AnalysisError, match="chain of groups is broken"):
+        sandwich_report(d2)
+
+
+def test_only_the_strong_matrix_group_takes_a_subgroup():
+    with pytest.raises(AnalysisError, match="only the strong group"):
+        hadamard_aut(H1, "weak", subgroup=hadamard_aut(H1, "strong"))

@@ -24,7 +24,7 @@ from eqlines.autgraph import (
 )
 from eqlines.exactalg import Ring
 from eqlines.hadamard import SignMatrix, from_recipe, sylvester
-from eqlines.permgroup import Permutation
+from eqlines.permgroup import Permutation, PermGroup
 from eqlines.sic import build_tilde, construct_sic
 
 
@@ -620,3 +620,52 @@ def test_target_vertex_colors_the_fixed_side_lacks():
         assert find_isomorphism(g, g.edge_color, np.array(vcolb), budget=1) is None
     f = find_isomorphism(g, g.edge_color, g.vertex_color.astype(np.uint8), budget=1)
     assert f is not None and f.is_identity()
+
+
+def test_seeded_automorphism_orders_match_brute_force():
+    # seeds are random non-identity automorphisms from the brute-force list:
+    # they head the generator list, and the group is still the whole group
+    seeded = 0
+    for rng, g in _random_cases(13, 30):
+        brute = _isomorphisms(g, g, _all_perms(g.n))
+        moving = brute[(brute != np.arange(g.n)).any(axis=1)]
+        seeds = [Permutation(moving[i]) for i in rng.integers(0, len(moving), size=2)
+                 ] if len(moving) else []
+        group = graph_automorphisms(g, automorphisms=seeds)
+        assert group.generators[:len(seeds)] == seeds
+        assert group.order() == len(brute)
+        seeded += bool(seeds)
+    assert seeded >= 10
+
+
+@pytest.mark.parametrize("name,graph,nodes", list(_differential_graphs()))
+def test_seeded_automorphism_search_needs_no_more_nodes(name, graph, nodes):
+    # seeded with the unseeded search's own generators, the search finds
+    # the same group, and its first path prunes from the root
+    plain = graph_automorphisms(graph)
+    s = _Search(graph, graph.edge_color, graph.vertex_color, 10 ** 7, "graph_automorphisms",
+                plain.generators)
+    s.find_automorphisms()
+    assert s.nodes <= nodes[0]
+    found = PermGroup([Permutation(g) for g in s.gens], graph.n)
+    assert found.order() == plain.order()
+    assert found.generators[:len(plain.generators)] == plain.generators
+
+
+def test_graph_automorphisms_rejects_a_non_automorphism_seed():
+    g = _hoggar_cover()
+    gens = list(graph_automorphisms(g).generators)
+    # swapping two fibers is no automorphism of Hoggar's cover graph
+    swap = Permutation(np.r_[4:8, 0:4, 8:g.n])
+    with pytest.raises(GraphError, match="not an automorphism"):
+        graph_automorphisms(g, automorphisms=gens + [swap])
+    with pytest.raises(GraphError, match="not an automorphism"):
+        graph_automorphisms(g, automorphisms=[Permutation.identity(4)])
+    # vertex colors are checked too: a fiber recolored, and a seed that
+    # moves it
+    vcol = g.vertex_color.copy()
+    vcol[:4] = 1
+    recolored = ColoredDigraph(g.n, vcol, g.edge_color, 4)
+    moving = next(p for p in gens if p.img[0] >= 4)
+    with pytest.raises(GraphError, match="not an automorphism"):
+        graph_automorphisms(recolored, automorphisms=[moving])

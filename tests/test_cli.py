@@ -425,22 +425,26 @@ def test_pruned_search_output_bytes(capsys, argv, digest):
 
 
 # the same for a sandwich: three automorphism searches and the isomorphism
-# searches of all three recolorings
+# searches of all three recolorings.  Re-recorded when the chain came to be
+# searched bottom-up, each search seeded with the group below it: only the
+# generator lists of strong_sic, weak_sic and strong_tilde changed, and
+# tests/test_analysis.py::test_seeded_chain_equals_the_unseeded_groups
+# shows the groups are the unseeded ones
 def test_sandwich_output_bytes(capsys):
     code, out, _ = run(capsys, "sandwich", "--had", "sylvester:3", "--ring", "gf:3", "--json")
     assert code == 0
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "136a950aeee0fd5e9ca6dc5aaba97dff2a5b3fb680462b5a874caa055737690e")
+            == "95a78fd819b2b58c0be583b38ef5f9982bd9913343d5bfc6d412f71dc0511421")
 
 
 # the same for the line-system groups: `aut sic` prints the coset
 # witnesses, which a sandwich does not; the sandwich is over the Gaussian
-# integers
+# integers (re-recorded with the seeded chain, as above)
 @pytest.mark.parametrize("argv,digest", [
     (["aut", "sic", "--had", "sylvester:3", "--ring", "gf:3", "--strength", "weak"],
      "73f450f9ea331903fb6a53eb04dd928c650b4775fdfb19c02dafe61473861fcb"),
     (["sandwich", "--had", "sylvester:3", "--ring", "gauss"],
-     "37a31902520effc7fcb1fab234aa225ca3f446ac8947bb9f5d2e0ed3322e737e"),
+     "3e6f9c48510e851a7c630e580f4a7c1a5a14c3aa6200268a9b330b7fac1c04e6"),
 ], ids=["aut sic", "sandwich gauss"])
 def test_line_group_output_bytes(capsys, argv, digest):
     code, out, _ = run(capsys, *argv, "--json")
